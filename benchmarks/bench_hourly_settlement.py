@@ -128,6 +128,11 @@ class LegacySage(SeedAdvanceLoop, Sage):
         self._pipelines.append(entry)
         return entry
 
+    def _new_block_share(self):
+        # The seed rescanned every pipeline; the platform's waiting index
+        # is never populated here (submit above bypasses it).
+        return self.epsilon_global / max(1, len(self._waiting_pipelines()))
+
     def _allocate_block(self, key):
         waiting = self._waiting_pipelines()
         if not waiting:

@@ -74,11 +74,17 @@ Per-pipeline epsilon reservations live in one contiguous
 are pipelines (in submission order) and whose columns are aligned to the
 stream accountant's :class:`~repro.core.accountant.LedgerStore` rows (i.e.
 block registration order -- ``BlockAccountant.rows_for_keys`` is the shared
-index space).  Hourly allocation, free-pool grants, redistribution of a
-finished pipeline's leftovers, and settlement of a session's charges are
-each a single NumPy row/column operation instead of O(pipelines x blocks)
-dict loops, and the allocation check during window selection reaches the
-accountant's tail scan as a vectorized ``row_filter``.
+index space).  Hourly allocation, free-pool grants, and settlement of a
+session's charges are each a single NumPy row/column operation instead of
+O(pipelines x blocks) dict loops, and the allocation check during window
+selection reaches the accountant's tail scan as a vectorized
+``row_filter``.  Redistributing a terminating pipeline's leftovers is one
+dense add of its credit vector over the waiting rows -- O(waiting x
+blocks) contiguous cells, no column gather.  Every table operation reads
+the waiting set from one hour-scoped index of table rows: derived from
+session statuses once per hour when the hour opens, appended on submit,
+and shrunk when a terminating session redistributes -- so no step rescans
+the submitted pipelines.
 """
 
 from __future__ import annotations
@@ -226,17 +232,31 @@ class ReservationTable:
 
     def release(self, row: int, waiting_rows: np.ndarray) -> None:
         """Return one pipeline's whole holding to the others (or the free
-        pool), clearing its row.  ``row`` must not be in ``waiting_rows``."""
-        held = self._eps[row, : self._n_blocks]
-        cols = np.nonzero(held > 0.0)[0]
-        if cols.size:
-            if len(waiting_rows):
-                self._eps[np.ix_(waiting_rows, cols)] += held[cols] / len(
-                    waiting_rows
-                )
-            else:
-                self._free[cols] += held[cols]
-            held[cols] = 0.0
+        pool), clearing its row.  ``row`` must not be in ``waiting_rows``.
+
+        Cost: one dense add of a length-``n_blocks`` credit vector into
+        each waiting row (or into the free pool), no column gather.  The
+        credit is ``held / len(waiting_rows)`` where the pipeline holds
+        budget and exactly ``0.0`` elsewhere, so every cell receives the
+        same division and single addition as a scatter over the held
+        columns would give it: adding ``+0.0`` is the identity because
+        cells are never ``-0.0`` (they start at ``+0.0``, gain only
+        nonnegative credits, and settlement's ``held - epsilon`` rounds an
+        exact cancellation to ``+0.0`` before the clamp).
+        The add runs in place row by row: a fancy-indexed ``+=`` over the
+        waiting rows would gather them into a temporary and scatter it
+        back, about three times the memory traffic.
+        """
+        n = self._n_blocks
+        held = self._eps[row, :n]
+        if len(waiting_rows):
+            credit = np.where(held > 0.0, held / len(waiting_rows), 0.0)
+            for waiting_row in waiting_rows.tolist():
+                cells = self._eps[waiting_row, :n]
+                cells += credit
+        else:
+            self._free[:n] += held
+        held[:] = 0.0
 
     def settle(self, row: int, cols: np.ndarray, epsilon) -> None:
         """Deduct committed charges from one pipeline's reservations.
@@ -440,6 +460,13 @@ class Sage:
         # All pipelines' epsilon reservations plus the unreserved free pool,
         # columns aligned to the stream accountant's ledger-store rows.
         self._table = ReservationTable()
+        # Table rows of the waiting pipelines, in submission order: derived
+        # from session statuses once per hour (_open_hour), appended by
+        # submit, and dropped by _redistribute -- the one way a session
+        # leaves the waiting set mid-hour.  A list: submit is on the
+        # set-up path, where an array append would cost more than the rest
+        # of submit's bookkeeping.
+        self._waiting: List[int] = []
         self.batched_advance = batched_advance
         # Parallel propose drive: peek every waiting session's first
         # proposal of the hour in this many worker threads (0 = off).
@@ -598,6 +625,7 @@ class Sage:
         )
         entry.session = session
         self._pipelines.append(entry)
+        self._waiting.append(entry.table_row)
         return entry
 
     # ------------------------------------------------------------------
@@ -606,15 +634,18 @@ class Sage:
     def _waiting_pipelines(self) -> List[SubmittedPipeline]:
         return [p for p in self._pipelines if p.waiting]
 
+    def _derive_waiting(self) -> None:
+        """Rebuild the waiting index from session statuses (O(pipelines):
+        once per hour, and after a snapshot restore)."""
+        self._waiting = [p.table_row for p in self._pipelines if p.waiting]
+
     def _waiting_rows(self) -> np.ndarray:
-        return np.fromiter(
-            (p.table_row for p in self._pipelines if p.waiting), dtype=np.intp
-        )
+        """Table rows of the waiting pipelines, in submission order."""
+        return np.array(self._waiting, dtype=np.intp)
 
     def _new_block_share(self) -> float:
         """Per-pipeline epsilon a freshly created block would grant now."""
-        waiting = max(1, len(self._waiting_pipelines()))
-        return self.epsilon_global / waiting
+        return self.epsilon_global / max(1, len(self._waiting))
 
     def _reservation_values(
         self, entry: SubmittedPipeline, rows: np.ndarray
@@ -650,7 +681,9 @@ class Sage:
         self._table.allocate(col, self.epsilon_global, self._waiting_rows())
 
     def _redistribute(self, finished: SubmittedPipeline) -> None:
-        """Return a finished pipeline's unused reservations to the others."""
+        """Drop a finished pipeline from the waiting index and return its
+        unused reservations to the others."""
+        self._waiting.remove(finished.table_row)
         self._table.release(finished.table_row, self._waiting_rows())
 
     def _grant_free_pool(self) -> None:
@@ -780,19 +813,15 @@ class Sage:
         return speculations
 
     def _speculation_valid(
-        self,
-        entry: SubmittedPipeline,
-        spec: SpeculativeProposal,
-        waiting_count: int,
+        self, entry: SubmittedPipeline, spec: SpeculativeProposal
     ) -> bool:
         """Whether the peeked snapshot provably still holds (see
-        :class:`SpeculativeProposal`).  ``waiting_count`` is the current
-        waiting-pipeline count, maintained O(1) by the hour loop (sessions
-        only leave the waiting set by terminating during their own drive)."""
+        :class:`SpeculativeProposal`); the waiting count is read off the
+        hour's waiting index."""
         return (
             spec.n_attempts == len(entry.session.attempts)
             and self.access.accountant.staged_request_count == 0
-            and spec.n_waiting == waiting_count
+            and spec.n_waiting == len(self._waiting)
         )
 
     # ------------------------------------------------------------------
@@ -801,7 +830,6 @@ class Sage:
         entry: SubmittedPipeline,
         staged: bool,
         spec: Optional[SpeculativeProposal],
-        waiting_count: int,
     ) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
@@ -821,9 +849,7 @@ class Sage:
         session.wake()
         metrics = self._metrics
         tracer = self._tracer
-        if spec is not None and not self._speculation_valid(
-            entry, spec, waiting_count
-        ):
+        if spec is not None and not self._speculation_valid(entry, spec):
             spec = None
             metrics.inc("sage_speculations_invalidated_total")
             if tracer is not None:
@@ -908,6 +934,7 @@ class Sage:
             else nullcontext()
         ) as opening:
             new_blocks = self.ingestor.advance(hours)
+            self._derive_waiting()
             # Register the hour's blocks in every ledger set (stream-wide
             # and per-context); the access layer interleaves sets per key
             # so a failure cannot leave them inconsistent.
@@ -938,16 +965,13 @@ class Sage:
             else:
                 speculations = self._speculate_proposals()
         released: List[ReleasedBundle] = []
-        # Maintained O(1) through the loop: sessions only leave the
-        # waiting set by terminating during their own drive below.
-        waiting_count = sum(1 for p in self._pipelines if p.waiting)
         driven = 0
         for entry in self._pipelines:
             if not entry.waiting:
                 continue
             # The span covers the session's whole hour -- drive, settle,
             # release, redistribute -- so the profiler attributes the
-            # settlement tail (a whole-table ReservationTable op per
+            # settlement tail (one dense add over the waiting rows per
             # terminating session) to the session that caused it.  The
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
@@ -956,13 +980,9 @@ class Sage:
                 if tracer is not None
                 else nullcontext()
             ):
-                self._drive_session(
-                    entry, staged, speculations.get(id(entry)), waiting_count
-                )
+                self._drive_session(entry, staged, speculations.get(id(entry)))
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
-                if entry.session.is_terminal:
-                    waiting_count -= 1
                 self._settle_charges(entry)
                 faults.trip("settle.mid_session")
                 if entry.session.status == SessionStatus.ACCEPTED:
@@ -1145,6 +1165,7 @@ class Sage:
             "db_mark": self.database.mark(),
             "matrix": self._table.matrix.copy(),
             "free": self._table.free_epsilon.copy(),
+            "waiting": list(self._waiting),
             "store_marks": self.store.version_marks(),
             "entries": entries,
         }
@@ -1159,6 +1180,7 @@ class Sage:
         self.ingestor.clock_hours = txn["clock"]
         self.rng.bit_generator.state = txn["rng_state"]
         self._table.restore(txn["matrix"], txn["free"])
+        self._waiting = txn["waiting"]
         for entry, pre in zip(self._pipelines, txn["entries"]):
             session = entry.session
             session.status = pre["status"]
@@ -1289,6 +1311,7 @@ class Sage:
                 while submitted < len(payload["entries"]):
                     submit_next()
                 durability.restore_snapshot_payload(self, payload)
+                self._derive_waiting()
                 self._hours_committed = snapshot_hour
                 if tracer is not None:
                     tracer.event(

@@ -64,46 +64,148 @@ class DictAllocator:
         return min(self.reservations[p].get(b, 0.0) for b in blocks)
 
 
+class OracleHarness:
+    """Drives a ReservationTable and the dict reference op by op.
+
+    After every op it checks, per column, that the table equals the
+    reference cell for cell, that no cell (or free-pool entry) is ``-0.0``
+    -- the dense release adds ``+0.0`` credits to cells the releaser does
+    not hold, which is the identity only on ``+0.0`` -- and that epsilon is
+    conserved: the column's reservations plus its free pool equal an
+    independently accumulated *allocated minus settled* total.
+
+    Conservation bound: every op adds at most ``len(waiting) + 1`` rounded
+    float operations to a column (one per touched cell, plus the division
+    producing the share), each off by at most half an ulp of the column's
+    allocated total (no cell exceeds it), and the final
+    ``rows.sum() + free`` adds one more rounding per term -- so the check
+    allows ``roundings + n_pipelines + 1`` ulps of the allocated total.
+    """
+
+    def __init__(self, n_pipelines, n_blocks, pipeline_capacity=1, block_capacity=1):
+        self.table = ReservationTable(pipeline_capacity, block_capacity)
+        self.ref = DictAllocator()
+        for p in range(n_pipelines):
+            row = self.table.add_pipeline()
+            assert row == p
+            self.ref.add_pipeline(p)
+        self.n_pipelines = n_pipelines
+        self.n_blocks = n_blocks
+        for b in range(n_blocks):
+            col = self.table.add_block()
+            assert col == b
+        self.allocated = np.zeros(n_blocks)
+        self.settled = np.zeros(n_blocks)
+        self.roundings = np.zeros(n_blocks)
+
+    def allocate(self, b, amount, waiting):
+        self.table.allocate(b, amount, np.array(waiting, dtype=np.intp))
+        self.ref.allocate(b, amount, waiting)
+        self.allocated[b] += amount
+        self.roundings[b] += len(waiting) + 1
+        self.check()
+
+    def grant_free(self, waiting):
+        if waiting:
+            self.roundings[list(self.ref.free)] += len(waiting) + 1
+        self.table.grant_free(np.array(waiting, dtype=np.intp))
+        self.ref.grant_free(waiting)
+        self.check()
+
+    def settle(self, p, blocks, eps):
+        for b in blocks:
+            self.settled[b] += min(self.ref.reservations[p].get(b, 0.0), eps)
+            self.roundings[b] += 1
+        self.table.settle(p, np.array(blocks, dtype=np.intp), eps)
+        self.ref.settle(p, blocks, eps)
+        self.check()
+
+    def release(self, p, waiting):
+        held = [b for b, v in self.ref.reservations[p].items() if v > 0]
+        self.roundings[held] += len(waiting) + 1
+        self.table.release(p, np.array(waiting, dtype=np.intp))
+        self.ref.release(p, waiting)
+        self.check()
+
+    def check(self):
+        table, ref = self.table, self.ref
+        assert not np.signbit(table.matrix).any()
+        assert not np.signbit(table.free_epsilon).any()
+        expected = np.zeros((self.n_pipelines, self.n_blocks))
+        for p, held in ref.reservations.items():
+            for b, v in held.items():
+                expected[p, b] = v
+        assert np.array_equal(table.matrix, expected)
+        free_ref = np.zeros(self.n_blocks)
+        for b, v in ref.free.items():
+            free_ref[b] = v
+        assert np.array_equal(table.free_epsilon, free_ref)
+        outstanding = table.matrix.sum(axis=0) + table.free_epsilon
+        bound = (self.roundings + self.n_pipelines + 1) * np.spacing(self.allocated)
+        assert np.all(np.abs(outstanding - (self.allocated - self.settled)) <= bound)
+
+
 def test_matches_dict_reference_through_random_schedule():
     """A random allocate/grant/settle/release schedule must reproduce the
-    seed's dict allocator value-for-value."""
+    seed's dict allocator value-for-value, op by op.  Releases pop random
+    pipelines, so the waiting rows turn non-contiguous; the last one
+    releases into the free pool (nobody left waiting)."""
     rng = np.random.default_rng(9)
-    table = ReservationTable(pipeline_capacity=1, block_capacity=1)  # force growth
-    ref = DictAllocator()
     n_pipelines, n_blocks = 7, 40
-    for p in range(n_pipelines):
-        new_row = table.add_pipeline()
-        assert new_row == p
-        ref.add_pipeline(p)
+    h = OracleHarness(n_pipelines, n_blocks)  # capacity 1: forces growth
     waiting = list(range(n_pipelines))
     for b in range(n_blocks):
-        new_col = table.add_block()
-        assert new_col == b
         active = [p for p in waiting if rng.random() < 0.8]
-        table.allocate(b, 1.0, np.array(active, dtype=np.intp))
-        ref.allocate(b, 1.0, active)
+        h.allocate(b, 1.0, active)
         if rng.random() < 0.3:
             p = int(rng.integers(n_pipelines))
             blocks = list(rng.choice(b + 1, size=min(b + 1, 3), replace=False))
-            eps = float(rng.uniform(0.0, 0.2))
-            table.settle(p, np.array(blocks, dtype=np.intp), eps)
-            ref.settle(p, blocks, eps)
-        if rng.random() < 0.2:
-            p = waiting.pop(int(rng.integers(len(waiting)))) if len(waiting) > 1 else None
-            if p is not None:
-                table.release(p, np.array(waiting, dtype=np.intp))
-                ref.release(p, waiting)
-        table.grant_free(np.array(waiting, dtype=np.intp))
-        ref.grant_free(waiting)
+            h.settle(p, blocks, float(rng.uniform(0.0, 0.2)))
+        if waiting and rng.random() < 0.2:
+            p = waiting.pop(int(rng.integers(len(waiting))))
+            h.release(p, waiting)
+        h.grant_free(waiting)
+    while waiting:  # drain: the last release goes to the free pool
+        p = waiting.pop(0)
+        h.release(p, waiting)
+    assert h.table.free_epsilon.any()
     for p in range(n_pipelines):
-        for b in range(n_blocks):
-            assert table.values(p, np.array([b]))[0] == ref.reservations[p].get(b, 0.0)
         probe = list(range(0, n_blocks, 7))
-        assert table.limit(p, np.array(probe, dtype=np.intp)) == ref.limit(p, probe)
-    free_ref = np.zeros(n_blocks)
-    for b, v in ref.free.items():
-        free_ref[b] = v
-    assert np.array_equal(table.free_epsilon, free_ref)
+        assert h.table.limit(p, np.array(probe, dtype=np.intp)) == h.ref.limit(p, probe)
+
+
+def test_release_credits_only_held_columns_to_scattered_rows():
+    """A releaser holding zero where the waiting rows hold budget leaves
+    those cells bit-for-bit untouched, and credits land only on the
+    (non-contiguous) waiting rows."""
+    h = OracleHarness(n_pipelines=6, n_blocks=8, pipeline_capacity=8, block_capacity=8)
+    everyone = list(range(6))
+    for b in range(8):
+        h.allocate(b, 1.0, everyone)
+    # The releaser (row 3) spends its whole reservation on blocks 0-3 and
+    # part of it on 4: it holds 0.0 on columns where everyone else holds
+    # budget.  Row 5's block 6 goes to zero too.
+    h.settle(3, [0, 1, 2, 3], 1.0)
+    h.settle(3, [4], 0.05)
+    h.settle(5, [6], 1.0)
+    before = h.table.matrix.copy()
+    waiting = [0, 2, 5]  # rows 1 and 4 are finished / not waiting
+    h.release(3, waiting)
+    after = h.table.matrix
+    assert np.array_equal(after[3], np.zeros(8))
+    assert np.array_equal(after[[1, 4]], before[[1, 4]])
+    # Columns the releaser did not hold are untouched on every row.
+    assert np.array_equal(after[waiting][:, :4], before[waiting][:, :4])
+    credit = before[3, 4:] / 3
+    for row in waiting:
+        assert np.array_equal(after[row, 4:], before[row, 4:] + credit)
+    # Nobody waiting: the holding lands in the free pool, then goes back
+    # out to the next waiting set.
+    held = h.table.row_values(0)
+    h.release(0, [])
+    assert np.array_equal(h.table.free_epsilon, held)
+    h.grant_free([2, 5])
+    assert not h.table.free_epsilon.any()
 
 
 def test_unknown_columns_read_as_zero():
