@@ -12,7 +12,7 @@ flags any **write** to shard-shared accounting state reached that way:
 
 * assignments/subscript writes through a ``self`` chain that contains a
   shared slab or overlay attribute (``_totals``, ``_live``, ``_mirror``,
-  ``_shards``, ``_scan_memo``, ...);
+  ``_shards``, ``_staged``, ...);
 * known accounting mutators (``write_rows``, ``retire``, ``settle``,
   ...) called on a ``self``-rooted receiver.
 

@@ -1,14 +1,12 @@
-"""Paired-calls rule: staged batches and scan memos must always close.
+"""Paired-calls rule: staged batches and WAL hours must always close.
 
 The hourly drive's central contract is that ``begin_staging`` reaches a
 commit or abort on *every* path -- an hour that raises mid-drive must
 still land its completed attempts' charges (``Sage.advance`` commits from
 a ``finally``), and an overlay left open poisons every later read (all
 admissibility checks see stale staged spend) while blocking every later
-``charge``/``charge_many``.  The snapshot-scoped scan memo has the same
-shape: ``begin_scan_memo`` freezes the overlay and must be ended by
-``end_scan_memo`` even when a peek raises.  The WAL hour lifecycle joins
-them: a ``begin_hour`` left open would make the *next* hour's
+``charge``/``charge_many``.  The WAL hour lifecycle has the same
+shape: a ``begin_hour`` left open would make the *next* hour's
 ``begin_hour`` fail and -- worse -- leave a partial hour record as the
 log's tail, so every ``begin_hour`` must reach ``commit_hour`` or
 ``abort_hour``, with one of them in a ``finally``.
@@ -44,7 +42,6 @@ PAIRS = (
         "begin_staging",
         ("commit_staged", "abort_staged", "pop_staged", "commit_staged_trusted"),
     ),
-    ("begin_scan_memo", ("end_scan_memo",)),
     ("begin_hour", ("commit_hour", "abort_hour")),
 )
 
@@ -71,7 +68,7 @@ def _closer_nodes(cfg: CFG, closers) -> List[CFGNode]:
 class PairedCallsRule(Rule):
     name = "paired-calls"
     description = (
-        "begin_staging/begin_scan_memo/begin_hour must reach their closing "
+        "begin_staging/begin_hour must reach their closing "
         "call on every feasible CFG path"
     )
 

@@ -4,9 +4,9 @@ The platform's parallel propose phase and the sharded accountant's
 phase-one validation both fan work out over ``ThreadPoolExecutor``s with
 an explicit contract (PR 5): submitted callables may only close over
 their arguments and documented-immutable state.  A closure that captures
-a mutable accountant attribute -- the staged overlay, the scan memo, the
-charge log -- turns "deterministic regardless of scheduling" into a data
-race that no single-threaded test can catch.
+a mutable accountant attribute -- the staged overlay (and the admit cache
+it owns), the charge log -- turns "deterministic regardless of
+scheduling" into a data race that no single-threaded test can catch.
 
 For every ``pool.map(f, ...)`` / ``pool.submit(f, ...)`` call in
 ``src/repro/`` (receivers whose name contains ``pool`` or ``executor``),
@@ -14,8 +14,8 @@ this rule resolves ``f`` when it is a lambda or a local ``def`` in the
 same enclosing function and flags, inside its body:
 
 * reads of known-mutable accountant/platform attributes
-  (``self._staged``, ``self._scan_memo``, ``self._charges``,
-  ``self._dead``, ``self._row_cache``, ``self._ledgers``,
+  (``self._staged``, ``self._charges``, ``self._dead``,
+  ``self._row_cache``, ``self._ledgers``,
   ``self._pipelines``, ``self._table``, ``self.last_hour_*``);
 * assignments through captured names (attribute/subscript writes whose
   root is not bound inside the callable) and ``nonlocal``/``global``
@@ -46,12 +46,11 @@ __all__ = ["ThreadSharedStateRule"]
 _SCOPE_PREFIX = "src/repro/"
 
 # Accountant/platform attributes documented as mutable across an hour --
-# the overlay, memo, logs, diagnostics, reservation state.  Reading these
-# from a pool thread races with the serial drive.
+# the overlay (with its admit cache), logs, diagnostics, reservation
+# state.  Reading these from a pool thread races with the serial drive.
 MUTABLE_ATTRS = frozenset(
     {
         "_staged",
-        "_scan_memo",
         "_charges",
         "_dead",
         "_row_cache",

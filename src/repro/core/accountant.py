@@ -130,10 +130,38 @@ same global row space (rows in registration order -- the
 ``rows_for_keys`` / ``ReservationTable`` alignment invariant), validates
 ``charge_many`` batches shard-locally with this module's float
 accumulation, and commits all shards or none.  The partitioner contract
-and the global-row-space invariant are documented there.  The
-snapshot-scoped scan memo (``begin_scan_memo``) serves the platform's
-parallel propose phase: while a staged batch is open and untouched,
-whole-stream admit scans may be computed once and shared across sessions.
+and the global-row-space invariant are documented there.
+
+Overlay-scoped admit cache
+--------------------------
+Every window selection starts with a whole-stream live-admit scan (live
+blocks admitting both the retirement budget and the caller's floor, on the
+effective totals).  A staged hour repeats that scan thousands of times
+against a handful of distinct floors while only a few charges are staged,
+so the open overlay owns a per-floor cache of it: floor budget -> boolean
+mask over store rows plus that mask's row array.
+
+* ``begin_staging()`` opens the overlay with an empty cache; a scan
+  miss fills the floor's entry, and a hit returns the cached read-only
+  rows.  The row array is derived lazily -- only when a read finds it
+  stale.
+* ``stage_charge()`` patches instead of dropping: after the overlay
+  absorbs the request, exactly the request's rows are re-evaluated for
+  every cached floor, and the row array is marked stale only if a bit
+  flipped.  This is exact because ``admits_batch`` is elementwise per row,
+  only the request's rows changed their effective totals, and the live
+  mask cannot move while an overlay is open (retirement persistence is
+  deferred under staging).  Touched rows are recomputed, never just
+  cleared: filters are not assumed monotone.
+* Registering a block or rolling registrations back mid-overlay clears
+  the cache; closing the overlay (``pop_staged``, the trusted commit)
+  drops it with the overlay.
+
+The unstaged path (no overlay) never caches: it rescans every time and
+persists retirement as it goes, and stays the oracle the cache is tested
+against.  The platform's parallel propose phase reads the same cache from
+its worker threads: peeks never stage, so concurrent misses only fill an
+entry twice with identical values.
 """
 
 from __future__ import annotations
@@ -141,7 +169,7 @@ from __future__ import annotations
 import inspect
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -347,6 +375,15 @@ class LedgerStore:
         self._size = size
 
 
+class _AdmitEntry(NamedTuple):
+    """One cached live-admit scan of the open overlay (see the module
+    docstring): a boolean mask over store rows and its read-only row
+    array, ``None`` while stale -- re-derived by the next read."""
+
+    mask: np.ndarray
+    rows: Optional[np.ndarray]
+
+
 class StagedBatch:
     """Charges validated against the accountant but not yet committed.
 
@@ -357,6 +394,8 @@ class StagedBatch:
     through the overlay are as cheap as reads of the store itself.  The
     per-request store rows are retained alongside the requests so a trusted
     commit can bulk-write the effective rows without re-resolving keys.
+    The overlay also owns the live-admit scan cache (floor budget ->
+    :class:`_AdmitEntry`), which the accountant keeps exact by patching.
     """
 
     def __init__(self, accountant: "BlockAccountant") -> None:
@@ -364,6 +403,7 @@ class StagedBatch:
         self._width = accountant.store.width
         self.requests: List[tuple] = []
         self.request_rows: List[np.ndarray] = []
+        self.admit_cache: Dict[PrivacyBudget, _AdmitEntry] = {}
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -528,10 +568,9 @@ class BlockAccountant:
         # Memoized key-tuple -> row-array translations (rows never move, so
         # entries never go stale; the cache is only bounded for memory).
         self._row_cache: Dict[tuple, np.ndarray] = {}
-        # Open staged batch (the propose/settle overlay), or None.
+        # Open staged batch (the propose/settle overlay, which also owns
+        # the live-admit scan cache), or None.
         self._staged: Optional[StagedBatch] = None
-        # Snapshot-scoped scan memo (see begin_scan_memo), or None.
-        self._scan_memo: Optional[Dict] = None
         # Retirement is permanent (privacy loss never decreases), so dead
         # blocks can be pruned from every scan once detected.  This keeps
         # usable_blocks() linear in the number of *live* blocks even when a
@@ -549,8 +588,8 @@ class BlockAccountant:
         """Create a ledger for a freshly ingested block (zero loss so far)."""
         if key in self._ledgers:
             raise InvalidBudgetError(f"block {key!r} already registered")
-        # A new row changes every whole-stream scan: memoized scans are stale.
-        self._scan_memo = None
+        # A new row changes every whole-stream scan: cached scans are stale.
+        self._clear_admit_cache()
         ledger = BlockLedger(
             key=key, filter=self._make_filter(self.epsilon_global, self.delta_global)
         )
@@ -697,7 +736,12 @@ class BlockAccountant:
         return StagedBatch(self)
 
     def begin_staging(self) -> StagedBatch:
-        """Open a staged batch; subsequent reads see staged charges."""
+        """Open a staged batch; subsequent reads see staged charges.
+
+        The new overlay starts with an empty live-admit scan cache: the
+        first scan at each floor fills it, :meth:`stage_charge` patches
+        it, and it closes with the overlay (see the module docstring).
+        """
         if self._staged is not None:
             raise InvalidBudgetError("a staged batch is already open")
         if not self._vectorized:
@@ -708,30 +752,9 @@ class BlockAccountant:
         self._staged = self._new_staged_batch()
         return self._staged
 
-    # ------------------------------------------------------------------
-    # Snapshot-scoped scan memo (the parallel propose phase)
-    # ------------------------------------------------------------------
-    def begin_scan_memo(self) -> None:
-        """Start memoizing whole-stream admit scans by floor budget.
-
-        Valid only while the effective totals are *frozen*: a staged batch
-        must be open and nothing may be staged, charged, or registered
-        until :meth:`end_scan_memo`.  The platform's parallel propose
-        phase brackets its session peeks with this -- every peek reads the
-        same snapshot by construction, so the live-admit scan for a given
-        floor budget is computed once and shared across all sessions
-        (decisions are identical to recomputing; only the redundant passes
-        disappear).  Reads are thread-safe: concurrent memo misses just
-        compute the same read-only row array twice.
-        """
-        if self._staged is None:
-            raise InvalidBudgetError(
-                "scan memoization requires an open (frozen) staged batch"
-            )
-        self._scan_memo = {}
-
-    def end_scan_memo(self) -> None:
-        self._scan_memo = None
+    def _clear_admit_cache(self) -> None:
+        if self._staged is not None:
+            self._staged.admit_cache.clear()
 
     def stage_charge(
         self, keys: Sequence[object], budget: PrivacyBudget, label: str = ""
@@ -741,12 +764,13 @@ class BlockAccountant:
         Raises exactly what :meth:`charge` would (``BlockRetiredError`` /
         ``BudgetExceededError``) and stages nothing on refusal; on success
         the request joins the batch and becomes visible to every subsequent
-        read and stage decision (intra-batch accumulation).
+        read and stage decision (intra-batch accumulation).  Cached
+        live-admit scans are patched, not dropped: the request's rows --
+        the only rows whose effective totals moved -- are re-evaluated for
+        every cached floor.
         """
         if self._staged is None:
             raise InvalidBudgetError("no staged batch is open")
-        # Staging moves the effective totals: any memoized scans are stale.
-        self._scan_memo = None
         keys = list(keys)
         if not keys:
             raise InvalidBudgetError("a charge must name at least one block")
@@ -766,14 +790,33 @@ class BlockAccountant:
         self._staged.add(rows, self._contribution(budget))
         self._staged.requests.append((keys, budget, label))
         self._staged.request_rows.append(rows)
+        self._patch_admit_cache(rows)
+
+    def _patch_admit_cache(self, rows: np.ndarray) -> None:
+        """Re-evaluate ``rows`` in every cached live-admit mask after their
+        effective totals moved; a mask whose bits flipped marks its row
+        array stale."""
+        cache = self._staged.admit_cache
+        if not cache:
+            return
+        eff = self._staged.effective_totals(len(self._store))[rows]
+        retirement = self.retirement_budget
+        alive = self._store.live[rows] & self._batch_filter.admits_batch(
+            eff, retirement
+        )
+        for floor, entry in cache.items():
+            fresh = alive
+            if floor != retirement:
+                fresh = alive & self._batch_filter.admits_batch(eff, floor)
+            if not np.array_equal(entry.mask[rows], fresh):
+                entry.mask[rows] = fresh
+                cache[floor] = entry._replace(rows=None)
 
     def pop_staged(self) -> List[tuple]:
         """Close the staged batch, returning its ``(keys, budget, label)``
         requests for a single :meth:`charge_many` commit (nothing has been
-        committed yet; discarding the return value aborts the batch)."""
-        # Closing the overlay ends the frozen snapshot any scan memo was
-        # defined against (commits may follow immediately).
-        self._scan_memo = None
+        committed yet; discarding the return value aborts the batch).  The
+        overlay's admit cache closes with it."""
         staged, self._staged = self._staged, None
         return staged.requests if staged is not None else []
 
@@ -1036,7 +1079,6 @@ class BlockAccountant:
         The access layer keeps it behind an explicit opt-in flag; the
         byte-parity against the validating path is pinned by tests.
         """
-        self._scan_memo = None  # the frozen snapshot ends with the overlay
         staged, self._staged = self._staged, None
         if staged is None or not staged.requests:
             return []
@@ -1092,9 +1134,9 @@ class BlockAccountant:
             del self._rows[key]
             self._dead.discard(key)
         del self._keys[n_blocks:]
-        # Cached row arrays / memoized scans may name the removed rows.
+        # Cached row arrays / cached scans may name the removed rows.
         self._row_cache.clear()
-        self._scan_memo = None
+        self._clear_admit_cache()
         self._store.truncate_to(n_blocks)
 
     def export_state(self) -> dict:
@@ -1193,18 +1235,40 @@ class BlockAccountant:
         )
 
     def _live_admit_rows(self, floor: PrivacyBudget) -> np.ndarray:
-        """Rows of live blocks admitting ``floor``, marking newly retired
-        blocks dead along the way -- the shared body of every block scan.
+        """Rows of live blocks admitting ``floor`` -- the shared body of
+        every block scan.
 
-        While a scan memo is active (totals frozen, see
-        :meth:`begin_scan_memo`) the result is cached per floor budget and
-        shared read-only across callers.
+        While a staged batch is open the result comes from the overlay's
+        admit cache (see the module docstring): a miss fills the floor's
+        entry from :meth:`_scan_live_admit_rows`, a hit returns the cached
+        read-only rows, re-deriving them from the mask only when a patching
+        :meth:`stage_charge` flipped a bit.  Without an overlay every call
+        rescans.
         """
-        memo = self._scan_memo
-        if memo is not None:
-            cached = memo.get(floor)
-            if cached is not None:
-                return cached
+        staged = self._staged
+        if staged is None:
+            return self._scan_live_admit_rows(floor)
+        entry = staged.admit_cache.get(floor)
+        if entry is not None and entry.rows is not None:
+            return entry.rows
+        if entry is None:
+            rows = self._scan_live_admit_rows(floor)
+            mask = np.zeros(len(self._store), dtype=bool)
+            mask[rows] = True
+        else:
+            mask = entry.mask
+            rows = np.flatnonzero(mask)
+        rows.setflags(write=False)  # shared across cache readers
+        # repro: allow(purity) -- admit-cache fill (or lazy row re-derivation
+        # after a patch): the cached rows are the value an uncached scan
+        # recomputes, and stage_charge keeps them so by patching.
+        staged.admit_cache[floor] = _AdmitEntry(mask, rows)
+        return rows
+
+    def _scan_live_admit_rows(self, floor: PrivacyBudget) -> np.ndarray:
+        """The uncached live-admit scan, marking newly retired blocks dead
+        along the way (only from committed totals, i.e. without an open
+        overlay)."""
         live_rows = np.nonzero(self._store.live)[0]
         if live_rows.size == 0:
             return live_rows
@@ -1246,12 +1310,6 @@ class BlockAccountant:
                     self._totals_view()[live_rows], floor
                 )
             live_rows = live_rows[admitted]
-        if memo is not None:
-            live_rows.setflags(write=False)  # shared across memo readers
-            # repro: allow(purity) -- scan-memo cache fill: the memo only
-            # exists while totals are frozen, and the cached rows are the
-            # value an uncached scan would recompute identically.
-            memo[floor] = live_rows
         return live_rows
 
     def usable_blocks(self, min_budget: Optional[PrivacyBudget] = None) -> List[object]:
@@ -1311,7 +1369,9 @@ class BlockAccountant:
         if row_filter is not None and rows.size:
             rows = rows[np.asarray(row_filter(rows), dtype=bool)]
         if key_filter is None:
-            return [self._keys[i] for i in rows[-count:]]
+            keys = self._keys
+            # tolist(): indexing a list with Python ints, not NumPy scalars.
+            return [keys[i] for i in rows[-count:].tolist()]
         out: List[object] = []
         for i in rows[::-1]:
             key = self._keys[i]

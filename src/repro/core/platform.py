@@ -48,13 +48,15 @@ Parallel propose drive (sharding-ready)
 With ``propose_workers > 0`` the staged hour opens with a *parallel
 propose phase*: every waiting session's first proposal is peeked
 concurrently in a thread pool (:meth:`AdaptiveSession.propose_peek` is a
-pure read -- PR 3's contract) against the freshly opened, empty overlay,
-and whole-stream admit scans are shared across the sessions for the
-duration of the phase (the accountant's snapshot-scoped scan memo).  The
-serial settle loop then adopts each speculation only while its snapshot
-token provably still holds -- zero charges staged so far and an unchanged
-waiting-pipeline count (allocation shares, redistribution, and the
-escalation rate all key off it); otherwise the session proposes for real.
+pure read -- PR 3's contract) against the freshly opened, empty overlay.
+Whole-stream admit scans are shared across sessions through the overlay's
+admit cache, which the accountant keeps for the whole staged hour (the
+settle loop's scans hit it too, and ``stage_charge`` patches it), so the
+phase needs no bracket of its own.  The serial settle loop then adopts
+each speculation only while its snapshot token provably still holds --
+zero charges staged so far and an unchanged waiting-pipeline count
+(allocation shares, redistribution, and the escalation rate all key off
+it); otherwise the session proposes for real.
 Either way the trajectory is byte-identical to the sequential drive.
 Pipeline execution itself stays serial in submission order (sessions
 share one RNG stream).
@@ -800,16 +802,11 @@ class Sage:
         pool = self._ensure_propose_pool()
         chunks = [waiting[w::workers] for w in range(workers)]
         speculations: Dict[int, SpeculativeProposal] = {}
-        # All peeks read the same frozen snapshot (the empty overlay), so
-        # whole-stream admit scans are shared across sessions for the
-        # duration of the phase -- the second leg of the parallel win.
-        accountant = self.access.accountant
-        accountant.begin_scan_memo()
-        try:
-            for result in pool.map(peek_chunk, chunks):
-                speculations.update(result)
-        finally:
-            accountant.end_scan_memo()
+        # All peeks read the same snapshot (the empty overlay), so their
+        # whole-stream admit scans share the overlay's admit cache; peeks
+        # never stage, so concurrent misses only fill identical entries.
+        for result in pool.map(peek_chunk, chunks):
+            speculations.update(result)
         return speculations
 
     def _speculation_valid(

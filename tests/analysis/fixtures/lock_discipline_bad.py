@@ -26,8 +26,8 @@ class ShardedAccountant:
 
     def _speculate(self, chunks):
         def peek_chunk(chunk):
-            # Finding 2: the scan memo is written bare from a worker.
-            self._scan_memo[chunk[0]] = chunk
+            # Finding 2: the overlay's cache is written bare from a worker.
+            self._staged.admit_cache[chunk[0]] = chunk
             return list(chunk)
 
         return list(self._propose_pool.map(peek_chunk, chunks))

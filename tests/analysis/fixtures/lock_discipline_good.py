@@ -1,5 +1,5 @@
 """Fixed twin of ``lock_discipline_bad.py``: validation writes only its
-local scratch, the memo write holds the lock, and the store fan-out is
+local scratch, the cache write holds the lock, and the store fan-out is
 dispatched from the serial commit phase over disjoint shard slabs."""
 
 
@@ -22,8 +22,8 @@ class ShardedAccountant:
 
     def _speculate(self, chunks):
         def peek_chunk(chunk):
-            with self._memo_lock:
-                self._scan_memo[chunk[0]] = chunk
+            with self._cache_lock:
+                self._staged.admit_cache[chunk[0]] = chunk
             return list(chunk)
 
         return list(self._propose_pool.map(peek_chunk, chunks))

@@ -15,13 +15,6 @@ def drive_closer_outside_finally(acc, requests):
     acc.commit_staged()
 
 
-def peek_memo_leaks(acc, sessions):
-    acc.begin_scan_memo()
-    results = [s.propose_peek() for s in sessions]
-    acc.end_scan_memo()  # skipped whenever a peek raises
-    return results
-
-
 def hour_never_closes(wal, record):
     wal.begin_hour()
     wal.append_hour(record)

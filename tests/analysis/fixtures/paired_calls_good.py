@@ -10,14 +10,6 @@ def drive(acc, requests):
         acc.commit_staged()
 
 
-def peek_all(acc, sessions):
-    acc.begin_scan_memo()
-    try:
-        return [s.propose_peek() for s in sessions]
-    finally:
-        acc.end_scan_memo()
-
-
 def durable_hour(wal, record, digest):
     wal.begin_hour()
     try:

@@ -103,12 +103,12 @@ def test_seeded_shared_write_fails_lock_discipline():
     findings = lint_seeded(
         SHARDING,
         anchor,
-        anchor + "\n        self._scan_memo[shard] = counts_delta",
+        anchor + "\n        self._staged.admit_cache[shard] = counts_delta",
         LockDisciplineRule(),
     )
     assert any(
         f.path == SHARDING
-        and "writes shared self._scan_memo[...]" in f.message
+        and "writes shared self._staged.admit_cache[...]" in f.message
         and "_validate_shard" in f.message
         for f in findings
     ), "lock-discipline went blind: seeded shard write not flagged"

@@ -25,7 +25,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # the rule's scope; the good twin must be silent at the same relpath.
 CASES = [
     (PurityRule, "purity", "src/repro/core/fixture_mod.py", 4),
-    (PairedCallsRule, "paired_calls", "src/repro/core/fixture_mod.py", 5),
+    (PairedCallsRule, "paired_calls", "src/repro/core/fixture_mod.py", 4),
     (SchemaWidthRule, "schema_width", "tests/core/fixture_mod.py", 3),
     (ThreadSharedStateRule, "thread_shared", "src/repro/core/fixture_mod.py", 3),
     (FloatDeterminismRule, "float_determinism", "src/repro/core/fixture_mod.py", 2),

@@ -603,30 +603,54 @@ class TestParallelProposeDrive(_TrajectoryMixin):
                 hours_with_invalidation += 1
         assert hours_with_invalidation > 0
 
-    def test_scan_memo_requires_frozen_overlay(self):
+    def test_admit_cache_lives_only_inside_an_overlay(self):
+        """No overlay, no cache: unstaged scans recompute every time.  An
+        open overlay caches per floor and shares the read-only rows; the
+        cache closes with the overlay."""
         acc = BlockAccountant(1.0, 1e-6)
         acc.register_blocks(range(4))
-        with pytest.raises(InvalidBudgetError):
-            acc.begin_scan_memo()
-        acc.begin_staging()
-        acc.begin_scan_memo()
         floor = PrivacyBudget(0.1, 0.0)
-        first = acc.usable_blocks(floor)
-        assert acc.usable_blocks(floor) == first  # memo hit, same answer
-        # Staging a charge drops the memo: the scan must see the new spend.
-        acc.stage_charge([0], PrivacyBudget(1.0, 0.0))
+        assert acc._live_admit_rows(floor) is not acc._live_admit_rows(floor)
+        batch = acc.begin_staging()
+        first = acc._live_admit_rows(floor)
+        assert acc._live_admit_rows(floor) is first  # cache hit
+        assert not first.flags.writeable
+        assert list(batch.admit_cache) == [floor]
+        acc.pop_staged()
+        assert acc._live_admit_rows(floor) is not first
+        assert acc.usable_blocks(floor) == [0, 1, 2, 3]
+
+    def test_admit_cache_patched_on_stage(self):
+        """Staging a charge keeps the cache entry and patches exactly the
+        charged rows: a flipped bit re-derives the rows, an unflipped one
+        keeps the cached array."""
+        acc = BlockAccountant(1.0, 1e-6)
+        acc.register_blocks(range(4))
+        floor = PrivacyBudget(0.1, 0.0)
+        batch = acc.begin_staging()
+        first = acc._live_admit_rows(floor)
+        mask = batch.admit_cache[floor].mask
+        acc.stage_charge([1], PrivacyBudget(0.2, 0.0))  # still admits floor
+        assert acc._live_admit_rows(floor) is first
+        acc.stage_charge([0], PrivacyBudget(1.0, 0.0))  # exhausts block 0
+        entry = batch.admit_cache[floor]
+        assert entry.mask is mask and entry.rows is None  # patched, stale
         assert acc.usable_blocks(floor) == [1, 2, 3]
+        assert np.array_equal(
+            acc._live_admit_rows(floor), acc._scan_live_admit_rows(floor)
+        )
         acc.pop_staged()
 
-    def test_scan_memo_dropped_on_mid_batch_registration(self):
-        """Registering a block while the memo is open (legal: the overlay
-        supports post-open rows) must invalidate memoized scans."""
+    def test_admit_cache_cleared_on_mid_batch_registration(self):
+        """Registering a block while the overlay is open (legal: the
+        overlay supports post-open rows) clears the cache."""
         acc = BlockAccountant(1.0, 1e-6)
         acc.register_blocks(["a"])
-        acc.begin_staging()
-        acc.begin_scan_memo()
+        batch = acc.begin_staging()
         assert acc.usable_blocks() == ["a"]
+        assert batch.admit_cache
         acc.register_block("b")
+        assert not batch.admit_cache
         assert acc.usable_blocks() == ["a", "b"]
         acc.pop_staged()
 
