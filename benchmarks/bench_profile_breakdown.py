@@ -21,7 +21,6 @@ Run as a script
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,10 +41,9 @@ from repro.workload.oracle import CountStreamSource, OraclePipeline
 DEFAULT_PIPELINES = 200
 DEFAULT_BLOCKS = 5_000
 SHARD_COUNTS = (1, 4, 8)
-DEFAULT_WORKERS = min(8, max(2, os.cpu_count() or 2))
 
 
-def build_contention_platform(n_pipelines, n_blocks, n_shards, workers, telemetry=None):
+def build_contention_platform(n_pipelines, n_blocks, n_shards, telemetry=None):
     """A stream ``n_blocks`` hours old with ``n_pipelines`` sessions
     submitted but not yet granted: the *next* hour is the contention
     hour, where the free pool lands and every session scans the whole
@@ -57,7 +55,6 @@ def build_contention_platform(n_pipelines, n_blocks, n_shards, workers, telemetr
         CountStreamSource(1000, scale=1000),
         seed=0,
         accountant_factory=factory,
-        propose_workers=workers,
         telemetry=telemetry,
     )
     sage.advance(float(n_blocks))  # blocks land with nobody waiting
@@ -67,15 +64,15 @@ def build_contention_platform(n_pipelines, n_blocks, n_shards, workers, telemetr
     return sage
 
 
-def profile_contention_hour(n_pipelines, n_blocks, n_shards, workers):
+def profile_contention_hour(n_pipelines, n_blocks, n_shards):
     """Drive the contention hour profiled and bare; return the measured
     wall (s), the profiler, the hour coverage, and the per-shard
     ``shard.validate`` walls (us)."""
     telemetry = Telemetry(profiler=WallProfiler())
     profiled = build_contention_platform(
-        n_pipelines, n_blocks, n_shards, workers, telemetry=telemetry
+        n_pipelines, n_blocks, n_shards, telemetry=telemetry
     )
-    bare = build_contention_platform(n_pipelines, n_blocks, n_shards, workers)
+    bare = build_contention_platform(n_pipelines, n_blocks, n_shards)
     profiler = telemetry.profiler
     # Drop the ingest warmup so every remaining span belongs to the one
     # contention hour the coverage claim is about.
@@ -114,13 +111,13 @@ def profile_contention_hour(n_pipelines, n_blocks, n_shards, workers):
     return wall_s, profiler, coverage, shard_walls
 
 
-def run(n_pipelines, n_blocks, workers, assert_coverage=0.0):
+def run(n_pipelines, n_blocks, assert_coverage=0.0):
     cases = []
     notes = []
     breakdown = None
     for n_shards in SHARD_COUNTS:
         wall_s, profiler, coverage, shard_walls = profile_contention_hour(
-            n_pipelines, n_blocks, n_shards, workers
+            n_pipelines, n_blocks, n_shards
         )
         hour = profiler.find_spans("advance.hour")[0]
         instrumented_us = hour.duration * coverage
@@ -131,7 +128,6 @@ def run(n_pipelines, n_blocks, workers, assert_coverage=0.0):
                     "pipelines": n_pipelines,
                     "blocks": n_blocks,
                     "shards": n_shards,
-                    "workers": workers,
                     "hour_coverage": round(coverage, 4),
                     "shard_validate_ms": {
                         str(shard): round(wall / 1e3, 3)
@@ -170,7 +166,7 @@ def run(n_pipelines, n_blocks, workers, assert_coverage=0.0):
     return write_bench_report(
         "profile_breakdown",
         "profiled contention hour: wall-clock phase breakdown "
-        f"({n_pipelines} pipelines x {n_blocks} blocks, {workers} workers)",
+        f"({n_pipelines} pipelines x {n_blocks} blocks)",
         cases,
         columns=("measured", "instrumented"),
         notes=notes,
@@ -182,7 +178,7 @@ def test_profile_breakdown_smoke():
     floor at reduced scale (the 90% acceptance gate runs at full scale,
     where the instrumented phases dominate even harder)."""
     wall_s, profiler, coverage, shard_walls = profile_contention_hour(
-        60, 1_500, 4, DEFAULT_WORKERS
+        60, 1_500, 4
     )
     assert sorted(shard_walls) == [0, 1, 2, 3]
     assert coverage >= 0.6, f"hour coverage only {coverage:.1%}"
@@ -194,7 +190,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pipelines", type=int, default=DEFAULT_PIPELINES)
     parser.add_argument("--blocks", type=int, default=DEFAULT_BLOCKS)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     parser.add_argument(
         "--assert-coverage",
         type=float,
@@ -207,7 +202,6 @@ def main():
         run(
             args.pipelines,
             args.blocks,
-            args.workers,
             assert_coverage=args.assert_coverage,
         )
     )

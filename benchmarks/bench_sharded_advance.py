@@ -1,15 +1,8 @@
-"""Sharded accounting + parallel propose drive vs the sequential drive.
+"""Sharded hourly drive parity + packed window assembly.
 
-Two measurements on the heavy-contention shape of the Fig. 8 loop (many
-waiting pipelines scanning a long stream every hour):
-
-* ``advance``: the batched hourly drive with the **parallel propose
-  phase** (worker-pool session peeks against the hour's frozen snapshot,
-  whole-stream admit scans shared across sessions) versus the sequential
-  propose loop, over sharded accountants at shard counts 1 / 4 / 8.
-  Parity is always asserted first: hash- and range-partitioned sharded
-  platforms, with and without parallel propose, must reproduce the
-  single-store sequential drive's simulation byte for byte.
+* Parity (always asserted first): hash- and range-partitioned sharded
+  platforms must reproduce the single-store drive's simulation byte for
+  byte.
 * ``stream_assembly``: window assembly through the growing database's
   packed-column store (preallocated columns filled once at ingest, windows
   read back as one slice/gather) versus the legacy per-block
@@ -17,13 +10,10 @@ waiting pipelines scanning a long stream every hour):
   assembly-dominated hot path.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_sharded_advance.py``);
-``--assert-speedup`` gates the parallel-vs-sequential advance ratio at
-every shard count (CI uses 1.0: parallel must never lose), and
 ``--assert-assembly-speedup`` gates the packed assembly win.
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -41,15 +31,12 @@ from repro.core.sharding import sharded_accountant_factory
 from repro.data.stream import StreamBatch
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
-DEFAULT_PIPELINES = 200
 DEFAULT_BLOCKS = 5_000
-SHARD_COUNTS = (1, 4, 8)
-DEFAULT_WORKERS = min(8, max(2, os.cpu_count() or 2))
 
 
 # ----------------------------------------------------------------------
-# Parity: sharded + parallel must reproduce the single-store sequential
-# drive byte for byte.
+# Parity: sharded drives must reproduce the single-store drive byte for
+# byte.
 # ----------------------------------------------------------------------
 def _fingerprint(sage):
     sage.access.accountant.retired_blocks()  # persist pending retirement
@@ -74,12 +61,11 @@ def _fingerprint(sage):
 
 
 def check_sharded_parity():
-    def drive(factory, workers):
+    def drive(factory):
         sage = Sage(
             CountStreamSource(4000, scale=1000),
             seed=3,
             accountant_factory=factory,
-            propose_workers=workers,
         )
         for i, complexity in enumerate((2_000.0, 10_000.0, 40_000.0, 1e9)):
             sage.submit(
@@ -92,43 +78,14 @@ def check_sharded_parity():
         sage.close()
         return fingerprint
 
-    reference = drive(None, 0)
-    for policy, n_shards, workers in (
-        ("hash", 2, 0),
-        ("hash", 4, 4),
-        ("range", 4, 4),
-        ("hash", 8, 8),
-    ):
-        got = drive(sharded_accountant_factory(n_shards, policy=policy), workers)
+    reference = drive(None)
+    for policy, n_shards in (("hash", 2), ("hash", 4), ("range", 4), ("hash", 8)):
+        got = drive(sharded_accountant_factory(n_shards, policy=policy))
         if got != reference:
             raise AssertionError(
-                f"sharded {policy} N={n_shards} workers={workers} diverged "
-                "from the single-store sequential drive"
+                f"sharded {policy} N={n_shards} diverged from the "
+                "single-store drive"
             )
-
-
-# ----------------------------------------------------------------------
-# Part 1: parallel propose vs sequential drive across shard counts
-# ----------------------------------------------------------------------
-def build_starved_platform(n_pipelines, n_blocks, n_shards, workers):
-    """A stream ``n_blocks`` hours old with ``n_pipelines`` starved
-    sessions: every hour each session scans the whole stream for an
-    affordable window and blocks again -- the propose-dominated
-    steady-state of heavy traffic, where the parallel phase carries the
-    whole hour."""
-    factory = sharded_accountant_factory(n_shards) if n_shards else None
-    sage = Sage(
-        CountStreamSource(1000, scale=1000),
-        seed=0,
-        accountant_factory=factory,
-        propose_workers=workers,
-    )
-    sage.advance(float(n_blocks))  # blocks land with nobody waiting
-    config = AdaptiveConfig(epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4)
-    for i in range(n_pipelines):
-        sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=1e12), config)
-    sage.advance(1.0)  # grant the free pool; sessions scan and starve
-    return sage
 
 
 def _best_of(fn, repeats):
@@ -140,24 +97,8 @@ def _best_of(fn, repeats):
     return best
 
 
-def bench_advance(n_pipelines, n_blocks, n_shards, workers, repeats=3):
-    sequential = build_starved_platform(n_pipelines, n_blocks, n_shards, 0)
-    parallel = build_starved_platform(n_pipelines, n_blocks, n_shards, workers)
-    t_seq = _best_of(lambda: sequential.advance(1.0), repeats)
-    t_par = _best_of(lambda: parallel.advance(1.0), repeats)
-    adopted, invalidated = parallel.last_hour_speculations
-    sequential.close()
-    parallel.close()
-    if invalidated or adopted != n_pipelines:
-        raise AssertionError(
-            f"expected every speculation adopted in the starved hour, got "
-            f"adopted={adopted} invalidated={invalidated}"
-        )
-    return t_seq, t_par, t_seq / t_par
-
-
 # ----------------------------------------------------------------------
-# Part 2: window assembly -- packed columns vs per-block concatenation
+# Window assembly -- packed columns vs per-block concatenation
 # ----------------------------------------------------------------------
 def bench_assembly(n_blocks, repeats=5):
     """Assemble a window of ``n_blocks`` one-row blocks (the simulator's
@@ -194,54 +135,11 @@ def bench_assembly(n_blocks, repeats=5):
 
 
 # ----------------------------------------------------------------------
-def run(n_pipelines, n_blocks, workers, assert_speedup=0.0, assert_assembly=0.0):
+def run(n_blocks, assert_assembly=0.0):
     check_sharded_parity()
 
-    cases = []
-    per_shard = {}
-    for n_shards in SHARD_COUNTS:
-        t_seq, t_par, speedup = bench_advance(n_pipelines, n_blocks, n_shards, workers)
-        per_shard[n_shards] = (t_seq, t_par, speedup)
-        cases.append(
-            write_bench_json(
-                f"sharded_advance_s{n_shards}",
-                {
-                    "pipelines": n_pipelines,
-                    "blocks": n_blocks,
-                    "shards": n_shards,
-                    "workers": workers,
-                },
-                t_seq * 1e3,
-                t_par * 1e3,
-                bench="sharded_advance",
-            )
-        )
-        if assert_speedup and speedup < assert_speedup:
-            raise AssertionError(
-                f"parallel propose speedup {speedup:.2f}x at {n_shards} shards "
-                f"is below the required {assert_speedup}x"
-            )
-
-    # Headline artifact (the mid shard count), per-shard ratios in params.
-    head_seq, head_par, _ = per_shard[SHARD_COUNTS[len(SHARD_COUNTS) // 2]]
-    write_bench_json(
-        "sharded_advance",
-        {
-            "pipelines": n_pipelines,
-            "blocks": n_blocks,
-            "workers": workers,
-            "shards": SHARD_COUNTS[len(SHARD_COUNTS) // 2],
-            "speedup_by_shards": {
-                str(n): round(s, 3) for n, (_, _, s) in per_shard.items()
-            },
-        },
-        head_seq * 1e3,
-        head_par * 1e3,
-        bench="sharded_advance",
-    )
-
     a_slow, a_fast, a_speedup = bench_assembly(n_blocks)
-    write_bench_json(
+    case = write_bench_json(
         "stream_assembly",
         {"blocks": n_blocks, "rows_per_block": 1},
         a_slow * 1e3,
@@ -255,40 +153,26 @@ def run(n_pipelines, n_blocks, workers, assert_speedup=0.0, assert_assembly=0.0)
         )
     return write_bench_report(
         "sharded_advance",
-        "sharded advance: parallel propose vs sequential drive "
-        f"({n_pipelines} pipelines x {n_blocks} blocks, {workers} workers)",
-        cases,
-        columns=("sequential", "parallel"),
+        f"window assembly: per-block concatenate vs packed ({n_blocks} blocks)",
+        [case],
+        columns=("concatenate", "packed"),
         notes=[
-            f"assembly {n_blocks} blocks: concatenate {a_slow * 1e3:.2f}ms -> "
-            f"packed {a_fast * 1e3:.2f}ms ({a_speedup:.1f}x)",
-            "parity: sharded + parallel drives reproduce the single-store "
-            "sequential drive byte for byte",
+            "parity: hash- and range-sharded drives reproduce the "
+            "single-store drive byte for byte",
         ],
     )
 
 
-def test_sharded_advance_speedup():
-    """CI smoke: parity + parallel propose at least matching sequential."""
+def test_sharded_parity_and_assembly():
+    """CI smoke: sharded parity + the packed assembly win."""
     check_sharded_parity()
-    t_seq, t_par, speedup = bench_advance(60, 1500, 4, DEFAULT_WORKERS)
-    assert speedup >= 1.0, f"only {speedup:.2f}x (seq {t_seq:.4f}s par {t_par:.4f}s)"
     a_slow, a_fast, a_speedup = bench_assembly(1500)
     assert a_speedup >= 2.0, f"assembly only {a_speedup:.1f}x"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pipelines", type=int, default=DEFAULT_PIPELINES)
     parser.add_argument("--blocks", type=int, default=DEFAULT_BLOCKS)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless the parallel-propose drive beats the sequential "
-        "drive by this factor at every shard count",
-    )
     parser.add_argument(
         "--assert-assembly-speedup",
         type=float,
@@ -298,13 +182,7 @@ def main():
     )
     args = parser.parse_args()
     print(
-        run(
-            args.pipelines,
-            args.blocks,
-            args.workers,
-            assert_speedup=args.assert_speedup,
-            assert_assembly=args.assert_assembly_speedup,
-        )
+        run(args.blocks, assert_assembly=args.assert_assembly_speedup)
     )
 
 

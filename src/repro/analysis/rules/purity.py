@@ -1,12 +1,11 @@
 """Purity rule: pure accountant read paths must not mutate anything.
 
-The propose/decide/settle protocol (PR 3) and the parallel propose drive
-(PR 5) both rest on one contract: ``AdaptiveSession.propose_peek`` and the
-accountant's read surface (``admits_keys`` / ``can_charge`` /
-``max_epsilon``) are *pure reads*.  The platform peeks sessions from
-worker threads against a frozen snapshot precisely because nothing along
-those paths writes -- a single mutation silently breaks byte-parity (or
-worse, thread safety) without failing any direct unit test.
+The propose/decide/settle protocol rests on one contract:
+``AdaptiveSession.propose_peek`` and the accountant's read surface
+(``admits_keys`` / ``can_charge`` / ``max_epsilon``) are *pure reads*.
+Every proposal of the hour is computed through them against the staged
+overlay, so a single mutation along those paths silently breaks
+byte-parity without failing any direct unit test.
 
 Since PR 8 the rule runs on the typed interprocedural call graph
 (:mod:`repro.analysis.callgraph`): ``self.access.accountant.can_charge``
@@ -51,9 +50,9 @@ from repro.analysis.astutil import SELF_MUTATOR_METHODS
 
 __all__ = ["PurityRule", "PURE_SEEDS"]
 
-# Entry points of the pure-read contract.  ``propose_peek`` is the
-# parallel propose drive's whole foundation; the accountant reads are what
-# every window scan and admissibility decision flows through.
+# Entry points of the pure-read contract.  ``propose_peek`` is the body
+# of every ``propose``; the accountant reads are what every window scan
+# and admissibility decision flows through.
 PURE_SEEDS = (
     "propose_peek",
     "admits_keys",

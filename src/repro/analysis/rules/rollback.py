@@ -53,9 +53,7 @@ _SCOPE_PREFIX = "src/repro/core/"
 EXEMPT_ROOTS = frozenset(
     {
         "last_hour_charges",
-        "last_hour_speculations",
         "_wal",
-        "_propose_pool",
         "_snapshots",
         "_hours_committed",
         # Telemetry (PR 9) is observational by contract: counters are

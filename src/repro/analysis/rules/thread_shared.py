@@ -1,9 +1,9 @@
 """Thread-shared-state rule: pool callables close over nothing mutable.
 
-The platform's parallel propose phase and the sharded accountant's
-phase-one validation both fan work out over ``ThreadPoolExecutor``s with
-an explicit contract (PR 5): submitted callables may only close over
-their arguments and documented-immutable state.  A closure that captures
+The sharded accountant's phase-one validation and commit fan work out
+over a ``ThreadPoolExecutor`` with an explicit contract: submitted
+callables may only close over their arguments and documented-immutable
+state.  A closure that captures
 a mutable accountant attribute -- the staged overlay (and the admit cache
 it owns), the charge log -- turns "deterministic regardless of
 scheduling" into a data race that no single-threaded test can catch.
@@ -61,7 +61,6 @@ MUTABLE_ATTRS = frozenset(
         # metrics registry's plain dicts, which the serial drive updates
         # mid-hour -- as racy from a pool thread as the old attributes.
         "last_hour_charges",
-        "last_hour_speculations",
         # Telemetry state itself: the tracer's span stack / clock and the
         # registry's dicts are serial-drive-only (the determinism contract
         # in repro.obs forbids emission from worker threads).

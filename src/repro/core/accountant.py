@@ -143,12 +143,11 @@ mask over store rows plus that mask's row array.
 
 * ``begin_staging()`` opens the overlay with an empty cache; a scan
   miss fills the floor's entry, and a hit returns the cached read-only
-  rows.  The row array is derived lazily -- only when a read finds it
-  stale.
+  rows.
 * ``stage_charge()`` patches instead of dropping: after the overlay
   absorbs the request, exactly the request's rows are re-evaluated for
-  every cached floor, and the row array is marked stale only if a bit
-  flipped.  This is exact because ``admits_batch`` is elementwise per row,
+  every cached floor, and a floor's row array is re-derived from its
+  mask only if a bit flipped.  This is exact because ``admits_batch`` is elementwise per row,
   only the request's rows changed their effective totals, and the live
   mask cannot move while an overlay is open (retirement persistence is
   deferred under staging).  Touched rows are recomputed, never just
@@ -159,9 +158,7 @@ mask over store rows plus that mask's row array.
 
 The unstaged path (no overlay) never caches: it rescans every time and
 persists retirement as it goes, and stays the oracle the cache is tested
-against.  The platform's parallel propose phase reads the same cache from
-its worker threads: peeks never stage, so concurrent misses only fill an
-entry twice with identical values.
+against.
 """
 
 from __future__ import annotations
@@ -378,10 +375,10 @@ class LedgerStore:
 class _AdmitEntry(NamedTuple):
     """One cached live-admit scan of the open overlay (see the module
     docstring): a boolean mask over store rows and its read-only row
-    array, ``None`` while stale -- re-derived by the next read."""
+    array."""
 
     mask: np.ndarray
-    rows: Optional[np.ndarray]
+    rows: np.ndarray
 
 
 class StagedBatch:
@@ -722,12 +719,7 @@ class BlockAccountant:
 
     @property
     def staged_request_count(self) -> int:
-        """Number of charges staged in the open batch (0 when none is open).
-
-        The platform's parallel propose drive uses this as (part of) its
-        speculation token: a first proposal computed against the empty
-        overlay is reusable only while nothing has been staged since.
-        """
+        """Number of charges staged in the open batch (0 when none is open)."""
         return len(self._staged.requests) if self._staged is not None else 0
 
     def _new_staged_batch(self) -> StagedBatch:
@@ -794,8 +786,8 @@ class BlockAccountant:
 
     def _patch_admit_cache(self, rows: np.ndarray) -> None:
         """Re-evaluate ``rows`` in every cached live-admit mask after their
-        effective totals moved; a mask whose bits flipped marks its row
-        array stale."""
+        effective totals moved; a mask whose bits flipped re-derives its
+        row array."""
         cache = self._staged.admit_cache
         if not cache:
             return
@@ -810,7 +802,9 @@ class BlockAccountant:
                 fresh = alive & self._batch_filter.admits_batch(eff, floor)
             if not np.array_equal(entry.mask[rows], fresh):
                 entry.mask[rows] = fresh
-                cache[floor] = entry._replace(rows=None)
+                rows_now = np.flatnonzero(entry.mask)
+                rows_now.setflags(write=False)  # shared across cache readers
+                cache[floor] = _AdmitEntry(entry.mask, rows_now)
 
     def pop_staged(self) -> List[tuple]:
         """Close the staged batch, returning its ``(keys, budget, label)``
@@ -1241,27 +1235,22 @@ class BlockAccountant:
         While a staged batch is open the result comes from the overlay's
         admit cache (see the module docstring): a miss fills the floor's
         entry from :meth:`_scan_live_admit_rows`, a hit returns the cached
-        read-only rows, re-deriving them from the mask only when a patching
-        :meth:`stage_charge` flipped a bit.  Without an overlay every call
-        rescans.
+        read-only rows, which :meth:`stage_charge` keeps exact by patching.
+        Without an overlay every call rescans.
         """
         staged = self._staged
         if staged is None:
             return self._scan_live_admit_rows(floor)
         entry = staged.admit_cache.get(floor)
-        if entry is not None and entry.rows is not None:
+        if entry is not None:
             return entry.rows
-        if entry is None:
-            rows = self._scan_live_admit_rows(floor)
-            mask = np.zeros(len(self._store), dtype=bool)
-            mask[rows] = True
-        else:
-            mask = entry.mask
-            rows = np.flatnonzero(mask)
+        rows = self._scan_live_admit_rows(floor)
         rows.setflags(write=False)  # shared across cache readers
-        # repro: allow(purity) -- admit-cache fill (or lazy row re-derivation
-        # after a patch): the cached rows are the value an uncached scan
-        # recomputes, and stage_charge keeps them so by patching.
+        mask = np.zeros(len(self._store), dtype=bool)
+        mask[rows] = True
+        # repro: allow(purity) -- admit-cache fill: the cached rows are the
+        # value an uncached scan recomputes, and stage_charge keeps them so
+        # by patching.
         staged.admit_cache[floor] = _AdmitEntry(mask, rows)
         return rows
 

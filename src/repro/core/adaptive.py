@@ -327,12 +327,8 @@ class AdaptiveSession:
         Returns ``(proposal, status_after)``: exactly the proposal a
         woken-then-``propose()``-ed session would produce and the status it
         would transition to -- but computed as a pure read (a blocked
-        NEED_DATA session is evaluated as if :meth:`wake` had run).  This
-        is the entry point of the platform's parallel propose drive:
-        because nothing is written, any number of sessions can be peeked
-        concurrently against a fixed accountant snapshot, and the driver
-        later either adopts the result (when the snapshot provably still
-        holds) or discards it and calls :meth:`propose` for real.
+        NEED_DATA session is evaluated as if :meth:`wake` had run).
+        :meth:`propose` is this peek plus the status transition.
         """
         status = self.status
         if status == SessionStatus.NEED_DATA:

@@ -37,33 +37,21 @@ accumulation makes the batch observationally identical to the per-session
 sequential charges, and staged validation replays the exact same float
 accumulation, so the commit can never be refused.  Sessions' reservation
 deductions settle in one fused vectorized pass per session.
+While the hour's overlay is open, every session's whole-stream admit
+scans are served from the overlay's per-floor admit cache, which
+``stage_charge`` patches in place (see :mod:`repro.core.accountant`), so
+a standing backlog of waiting sessions rescans the stream only once per
+distinct floor budget.
 
 Streams whose accountant cannot vectorize (custom scalar-only filters, or
 ``batched_advance=False``) fall back to the same propose/complete drive
 with immediate per-proposal ``request`` execution -- trajectories are
 float-identical either way; only the commit granularity changes.
 
-Parallel propose drive (sharding-ready)
----------------------------------------
-With ``propose_workers > 0`` the staged hour opens with a *parallel
-propose phase*: every waiting session's first proposal is peeked
-concurrently in a thread pool (:meth:`AdaptiveSession.propose_peek` is a
-pure read -- PR 3's contract) against the freshly opened, empty overlay.
-Whole-stream admit scans are shared across sessions through the overlay's
-admit cache, which the accountant keeps for the whole staged hour (the
-settle loop's scans hit it too, and ``stage_charge`` patches it), so the
-phase needs no bracket of its own.  The serial settle loop then adopts
-each speculation only while its snapshot token provably still holds --
-zero charges staged so far and an unchanged waiting-pipeline count
-(allocation shares, redistribution, and the escalation rate all key off
-it); otherwise the session proposes for real.
-Either way the trajectory is byte-identical to the sequential drive.
-Pipeline execution itself stays serial in submission order (sessions
-share one RNG stream).
-
-The accountant side composes: ``accountant_factory`` (e.g.
-:func:`repro.core.sharding.sharded_accountant_factory`) swaps in a
-:class:`~repro.core.sharding.ShardedBlockAccountant`, whose per-shard
+Sharded accounting
+------------------
+``accountant_factory`` (e.g. :func:`repro.core.sharding.sharded_accountant_factory`)
+swaps in a :class:`~repro.core.sharding.ShardedBlockAccountant`, whose per-shard
 contiguous stores validate the hour's one ``request_many`` batch shard by
 shard and commit all-or-nothing -- the hourly batch is the shard-commit
 unit.  The reservation table needs no changes: sharded accountants keep
@@ -91,11 +79,10 @@ the submitted pipelines.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -121,34 +108,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Sage", "SubmittedPipeline", "ReservationTable", "SpeculativeProposal"]
-
-
-@dataclass(frozen=True)
-class SpeculativeProposal:
-    """A session's first proposal of the hour, computed ahead of its turn.
-
-    Produced by the parallel propose phase (``propose_workers > 0``):
-    every waiting session is peeked concurrently against the hour's empty
-    staged overlay -- a pure read by the propose/settle contract.  The
-    serial settle loop adopts the result only while the snapshot it was
-    computed against provably still holds; the *token* is
-
-    * ``n_waiting`` -- the waiting-pipeline count at peek time (allocation
-      shares, redistribution targets, and the escalation rate all key off
-      it), and
-    * zero charges staged so far this hour (staged spend changes the
-      effective totals every proposal reads).
-
-    If either moved, the speculation is discarded and the session proposes
-    for real -- so trajectories are byte-identical to the sequential drive
-    whether or not any speculation survives.
-    """
-
-    proposal: Optional[ChargeProposal]
-    status_after: str
-    n_waiting: int
-    n_attempts: int
+__all__ = ["Sage", "SubmittedPipeline", "ReservationTable"]
 
 
 class ReservationTable:
@@ -380,9 +340,7 @@ class Sage:
 
     ``accountant_factory`` swaps the stream accountant implementation
     (e.g. :func:`repro.core.sharding.sharded_accountant_factory` for a
-    partitioned ledger store); ``propose_workers`` enables the parallel
-    propose phase of each staged hour (see the module docstring) -- both
-    preserve trajectories byte for byte.
+    partitioned ledger store) -- trajectories are preserved byte for byte.
 
     ``wal_dir`` turns on the durable drive (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
@@ -418,7 +376,6 @@ class Sage:
         batched_advance: bool = True,
         trusted_staged_commit: bool = False,
         accountant_factory=None,
-        propose_workers: int = 0,
         wal_dir=None,
         snapshot_every: int = 0,
         snapshot_keep: int = 3,
@@ -437,9 +394,9 @@ class Sage:
         self._metrics = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
-        # Counter readings at the top of the current advance(); the
-        # last-hour diagnostics are deltas against this mark.
-        self._hour_mark: Tuple[float, float, float] = (0, 0, 0)
+        # Granted-charge counter reading at the top of the current
+        # advance(); the last-hour diagnostic is a delta against this mark.
+        self._hour_mark: float = 0
         self.database = GrowingDatabase()
         self.rng = np.random.default_rng(seed)
         self.ingestor = StreamIngestor(
@@ -470,13 +427,6 @@ class Sage:
         # of submit's bookkeeping.
         self._waiting: List[int] = []
         self.batched_advance = batched_advance
-        # Parallel propose drive: peek every waiting session's first
-        # proposal of the hour in this many worker threads (0 = off).
-        # Requires the staged path (speculation is validated against the
-        # staged overlay's emptiness); trajectories are byte-identical to
-        # the sequential drive either way.
-        self.propose_workers = max(0, int(propose_workers))
-        self._propose_pool: Optional[ThreadPoolExecutor] = None
         # The drive emits its spans from the accountant's serial commit
         # points (charge batches, per-shard validation footprints).
         if self._tracer is not None:
@@ -540,49 +490,23 @@ class Sage:
         """Charges granted by the most recent ``advance()`` -- a
         compatibility view over ``sage_charges_granted_total`` since the
         drive counters folded into the metrics registry (PR 9)."""
-        granted, _, _ = self._hour_mark
         return int(
-            self._metrics.counter_value("sage_charges_granted_total") - granted
-        )
-
-    @property
-    def last_hour_speculations(self) -> Tuple[int, int]:
-        """Speculations (adopted, invalidated) in the most recent
-        ``advance()``: each speculation is counted exactly once, under the
-        outcome its snapshot token earned it (ordinary proposes appear in
-        neither counter).  Compatibility view over the registry's
-        ``sage_speculations_*_total`` counters."""
-        _, adopted, invalidated = self._hour_mark
-        metrics = self._metrics
-        return (
-            int(
-                metrics.counter_value("sage_speculations_adopted_total")
-                - adopted
-            ),
-            int(
-                metrics.counter_value("sage_speculations_invalidated_total")
-                - invalidated
-            ),
+            self._metrics.counter_value("sage_charges_granted_total")
+            - self._hour_mark
         )
 
     def _mark_hour_metrics(self) -> None:
-        """Open an hour for the last-hour deltas: remember the drive
-        counters' current readings."""
-        metrics = self._metrics
-        self._hour_mark = (
-            metrics.counter_value("sage_charges_granted_total"),
-            metrics.counter_value("sage_speculations_adopted_total"),
-            metrics.counter_value("sage_speculations_invalidated_total"),
+        """Open an hour for the last-hour delta: remember the granted-charge
+        counter's current reading."""
+        self._hour_mark = self._metrics.counter_value(
+            "sage_charges_granted_total"
         )
 
     def _finish_hour_metrics(self) -> None:
-        """Close the hour in the registry: per-hour gauges from the
-        counter deltas plus the advanced-hours counter."""
+        """Close the hour in the registry: the per-hour charge gauge plus
+        the advanced-hours counter."""
         metrics = self._metrics
-        adopted, invalidated = self.last_hour_speculations
         metrics.set_gauge("sage_hour_charges", self.last_hour_charges)
-        metrics.set_gauge("sage_hour_speculations_adopted", adopted)
-        metrics.set_gauge("sage_hour_speculations_invalidated", invalidated)
         metrics.inc("sage_hours_advanced_total")
 
     def _observe_fault(self, point: str) -> None:
@@ -726,24 +650,11 @@ class Sage:
             self._table.settle(entry.table_row, cols, fused[cols])
         entry.settled_attempts = len(attempts)
 
-    # ------------------------------------------------------------------
-    # Parallel propose phase (speculative first proposals)
-    # ------------------------------------------------------------------
-    def _ensure_propose_pool(self) -> ThreadPoolExecutor:
-        if self._propose_pool is None:
-            self._propose_pool = ThreadPoolExecutor(
-                max_workers=self.propose_workers,
-                thread_name_prefix="sage-propose",
-            )
-        return self._propose_pool
-
     def close(self) -> None:
-        """Release worker threads (the propose pool and, for sharded
-        accountants, the shard-validation pool).  Idempotent; the platform
-        keeps working afterwards -- pools are re-created on demand."""
-        if self._propose_pool is not None:
-            self._propose_pool.shutdown(wait=False)
-            self._propose_pool = None
+        """Release worker threads (for sharded accountants, the
+        shard-validation pool), the WAL handle, and the fault observer.
+        Idempotent; the platform keeps working afterwards -- pools are
+        re-created on demand."""
         accountant_close = getattr(self.access.accountant, "close", None)
         if accountant_close is not None:
             accountant_close()
@@ -762,72 +673,8 @@ class Sage:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _speculate_proposals(self) -> Dict[int, SpeculativeProposal]:
-        """Peek every waiting session's first proposal in the worker pool.
-
-        Runs right after ``begin_staging()`` opened the hour's (empty)
-        overlay, so each peek reads exactly the state the sequential drive
-        would show the *first* session -- committed totals, this hour's
-        allocations, no staged spend.  Peeks are pure reads
-        (``propose_peek`` mutates nothing; window scans against an open
-        overlay defer retirement persistence), so any interleaving yields
-        the same per-session results.  Sessions are dealt round-robin into
-        one task per worker to amortize dispatch overhead.  Hours with
-        fewer than two waiting sessions skip speculation entirely (there
-        is nothing to share; both counters stay zero).
-        """
-        waiting = [e for e in self._pipelines if e.waiting]
-        if len(waiting) < 2:
-            return {}
-        n_waiting = len(waiting)
-        workers = min(self.propose_workers, n_waiting)
-
-        def peek_chunk(chunk):
-            out = []
-            for entry in chunk:
-                proposal, status_after = entry.session.propose_peek()
-                out.append(
-                    (
-                        id(entry),
-                        SpeculativeProposal(
-                            proposal=proposal,
-                            status_after=status_after,
-                            n_waiting=n_waiting,
-                            n_attempts=len(entry.session.attempts),
-                        ),
-                    )
-                )
-            return out
-
-        pool = self._ensure_propose_pool()
-        chunks = [waiting[w::workers] for w in range(workers)]
-        speculations: Dict[int, SpeculativeProposal] = {}
-        # All peeks read the same snapshot (the empty overlay), so their
-        # whole-stream admit scans share the overlay's admit cache; peeks
-        # never stage, so concurrent misses only fill identical entries.
-        for result in pool.map(peek_chunk, chunks):
-            speculations.update(result)
-        return speculations
-
-    def _speculation_valid(
-        self, entry: SubmittedPipeline, spec: SpeculativeProposal
-    ) -> bool:
-        """Whether the peeked snapshot provably still holds (see
-        :class:`SpeculativeProposal`); the waiting count is read off the
-        hour's waiting index."""
-        return (
-            spec.n_attempts == len(entry.session.attempts)
-            and self.access.accountant.staged_request_count == 0
-            and spec.n_waiting == len(self._waiting)
-        )
-
     # ------------------------------------------------------------------
-    def _drive_session(
-        self,
-        entry: SubmittedPipeline,
-        staged: bool,
-        spec: Optional[SpeculativeProposal],
-    ) -> None:
+    def _drive_session(self, entry: SubmittedPipeline, staged: bool) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
         Every proposal is validated against the hour's staged batch (or
@@ -835,37 +682,15 @@ class Sage:
         and the decision fed back; a refusal becomes a denied decision, so
         the session blocks on NEED_DATA with escalation state untouched
         instead of the refusal propagating.
-
-        ``spec`` is the session's speculative first proposal from the
-        parallel propose phase: adopted for the first iteration when its
-        snapshot token still holds (skipping the propose scan entirely),
-        discarded otherwise.  Only the first attempt can be speculative --
-        later attempts depend on this hour's own staged charges.
         """
         session = entry.session
         session.wake()
         metrics = self._metrics
         tracer = self._tracer
-        if spec is not None and not self._speculation_valid(entry, spec):
-            spec = None
-            metrics.inc("sage_speculations_invalidated_total")
-            if tracer is not None:
-                tracer.event("speculation.invalidated", session=entry.name)
         while session.status == SessionStatus.RUNNING:
-            if spec is not None:
-                proposal, status_after = spec.proposal, spec.status_after
-                spec = None
-                metrics.inc("sage_speculations_adopted_total")
-                if tracer is not None:
-                    tracer.event("speculation.adopted", session=entry.name)
-                if proposal is None:
-                    # Exactly the transition propose() would have made.
-                    session.status = status_after
-                    break
-            else:
-                proposal = session.propose()
-                if proposal is None:
-                    break
+            proposal = session.propose()
+            if proposal is None:
+                break
             window = list(proposal.window)
             granted = True
             try:
@@ -947,20 +772,7 @@ class Sage:
         """Drive every waiting session through the hour's propose/settle
         loop (after :meth:`_open_hour`; inside the staging window on the
         batched path).  Returns the hour's released bundles."""
-        # Parallel propose phase: peek every waiting session's first
-        # proposal against the freshly opened (empty) overlay.  Needs
-        # the staged path -- speculation tokens are defined against it.
-        speculations: Dict[int, SpeculativeProposal] = {}
         tracer = self._tracer
-        if staged and self.propose_workers > 0:
-            if tracer is not None:
-                with tracer.span(
-                    "advance.propose_fanout", workers=self.propose_workers
-                ) as fanout:
-                    speculations = self._speculate_proposals()
-                    fanout.set(peeked=len(speculations))
-            else:
-                speculations = self._speculate_proposals()
         released: List[ReleasedBundle] = []
         driven = 0
         for entry in self._pipelines:
@@ -977,7 +789,7 @@ class Sage:
                 if tracer is not None
                 else nullcontext()
             ):
-                self._drive_session(entry, staged, speculations.get(id(entry)))
+                self._drive_session(entry, staged)
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
                 self._settle_charges(entry)
@@ -1025,8 +837,7 @@ class Sage:
             if staged:
                 self.access.begin_staging()
             try:
-                # Inside the try so a failed peek/drive still closes the
-                # overlay.
+                # Inside the try so a failed drive still closes the overlay.
                 released = self._drive_hour(staged)
             finally:
                 # Commit whatever was staged even if a pipeline raised

@@ -55,7 +55,6 @@ span                        covers
 =========================== ==============================================
 ``advance.hour``            one whole ``advance()`` (volatile or durable)
 ``advance.open``            ingest + block registration + allocation
-``advance.propose_fanout``  the parallel propose phase's pool fan-out
 ``session.drive``           one session's propose/decide loop for the hour
 ``staging.commit``          closing the hour's staged batch
 ``charge.batch``            one ``charge_many`` (validate + commit)
@@ -77,8 +76,6 @@ Event taxonomy
 =============================== ==========================================
 event                           fires
 =============================== ==========================================
-``speculation.adopted``         a peeked proposal's snapshot token held
-``speculation.invalidated``     a peeked proposal was discarded
 ``charge.granted``              a session proposal was granted (staged or
                                 sequential)
 ``charge.denied``               a proposal refused (budget/retirement)
@@ -107,9 +104,8 @@ Privacy: ``sage_privacy_epsilon_spent`` / ``sage_privacy_delta_spent``
 (admission/denial rates).
 
 Throughput: ``sage_hours_advanced_total``, ``sage_sessions_driven_total``,
-``sage_hour_charges`` / ``sage_hour_speculations_adopted`` /
-``sage_hour_speculations_invalidated`` (last completed hour, the
-``Sage.last_hour_*`` compatibility source), ``sage_speculations_*_total``,
+``sage_hour_charges`` (last completed hour, the
+``Sage.last_hour_charges`` compatibility source),
 ``sage_staged_batch_requests`` (histogram of staged batch sizes).
 
 Durability: ``sage_wal_bytes_total``, ``sage_wal_fsyncs_total``,

@@ -4,7 +4,7 @@ PR 9's tracer answers *what happened in what order* -- its logical tick
 clock makes traces replayable and byte-identical across runs, which is
 exactly why it cannot answer *where the time went*.  This module is the
 other half of the split: a :class:`WallProfiler` that records the very
-same span taxonomy (``advance.propose_fanout``, ``shard.validate``,
+same span taxonomy (``session.drive``, ``shard.validate``,
 ``staging.commit``, ``wal.fsync``, ...) but stamps every span with real
 ``time.perf_counter`` durations, so a profiled contention hour decomposes
 into a per-phase wall-clock breakdown instead of a tick ordering.

@@ -70,9 +70,6 @@ class WorkloadConfig:
     # byte-identical at any shard count (tested property).
     n_shards: int = 0
     shard_policy: str = "hash"
-    # Worker threads for the parallel propose phase of each batched hour
-    # (0 = sequential propose).  Identical trajectories either way.
-    propose_workers: int = 0
     # Optional ``repro.obs.Telemetry`` threaded through to the platform for
     # the block strategies (baselines have no platform to instrument).
     # Excluded from config equality: two runs with the same knobs are the
@@ -163,7 +160,6 @@ class WorkloadSimulator:
             seed=self.seed,
             batched_advance=cfg.batched_advance,
             accountant_factory=accountant_factory,
-            propose_workers=cfg.propose_workers,
             telemetry=cfg.telemetry,
         )
         self.last_platform = sage

@@ -1,5 +1,5 @@
-"""Sharded block accounting: byte-parity with the single store + the
-parallel propose drive.
+"""Sharded block accounting: byte-parity with the single store and the
+staged hourly drive over it.
 
 The headline properties:
 
@@ -8,8 +8,8 @@ The headline properties:
   seeded charge workloads -- committed totals, charge counts, live masks,
   scans, staged hours, cross-shard ``charge_many`` rollback, and
   Renyi-width stores;
-* a sharded ``Sage`` deployment with the parallel propose drive produces
-  byte-identical trajectories to the single-store sequential drive;
+* a sharded ``Sage`` deployment produces byte-identical trajectories to
+  the single-store sequential drive;
 * cross-shard aggregate reads (``loss_dashboard``, ``stream_loss_bound``)
   agree with the single store.
 """
@@ -451,14 +451,13 @@ class _TrajectoryMixin:
 class TestShardedPlatformParity(_TrajectoryMixin):
     """The acceptance property: a sharded accountant (hash and range,
     N >= 2) drives full batched Sage.advance hours byte-identically to the
-    single-store sequential drive, with and without parallel propose."""
+    single-store sequential drive."""
 
-    def _drive(self, factory=None, workers=0, batched=True, strategy="conserve"):
+    def _drive(self, factory=None, batched=True, strategy="conserve"):
         sage = Sage(
             CountStreamSource(4000, scale=1000),
             seed=3,
             accountant_factory=factory,
-            propose_workers=workers,
             batched_advance=batched,
         )
         for i, c in enumerate((2_000.0, 10_000.0, 40_000.0, 1e9)):
@@ -471,29 +470,28 @@ class TestShardedPlatformParity(_TrajectoryMixin):
         return sage
 
     @pytest.mark.parametrize("strategy", ["conserve", "aggressive"])
-    def test_sharded_parallel_drive_matches_single_sequential(self, strategy):
+    def test_sharded_drive_matches_single_sequential(self, strategy):
         reference = self.fingerprint(
-            self._drive(factory=None, workers=0, batched=False, strategy=strategy)
+            self._drive(factory=None, batched=False, strategy=strategy)
         )
-        for policy, n_shards, workers in (
-            ("hash", 4, 0),
-            ("range", 2, 0),
-            ("hash", 7, 4),
-            ("range", 4, 3),
+        for policy, n_shards in (
+            ("hash", 4),
+            ("range", 2),
+            ("hash", 7),
+            ("range", 4),
         ):
             sage = self._drive(
                 factory=sharded_accountant_factory(n_shards, policy=policy, span=5),
-                workers=workers,
                 strategy=strategy,
             )
             assert self.fingerprint(sage) == reference, (
-                f"sharded {policy} N={n_shards} workers={workers} diverged"
+                f"sharded {policy} N={n_shards} diverged"
             )
 
-    def test_simulator_workload_sharded_parallel_identical(self):
+    def test_simulator_workload_sharded_identical(self):
         """Seeded end-to-end simulator runs across shard counts/policies."""
         fingerprints = []
-        for n_shards, policy, workers in ((0, "hash", 0), (4, "hash", 4), (2, "range", 2)):
+        for n_shards, policy in ((0, "hash"), (4, "hash"), (2, "range")):
             cfg = WorkloadConfig(
                 strategy="block-conserve",
                 arrival_rate=0.4,
@@ -502,7 +500,6 @@ class TestShardedPlatformParity(_TrajectoryMixin):
                 max_attempts=16,
                 n_shards=n_shards,
                 shard_policy=policy,
-                propose_workers=workers,
             )
             sim = WorkloadSimulator(cfg, seed=17)
             report = sim.run()
@@ -525,13 +522,12 @@ class TestShardedPlatformParity(_TrajectoryMixin):
                 )
 
             fps = []
-            for factory, workers in ((None, 0), (sharded_accountant_factory(3), 2)):
+            for factory in (None, sharded_accountant_factory(3)):
                 sage = Sage(
                     CountStreamSource(4000, scale=1000),
                     seed=9,
                     filter_factory=filter_factory,
                     accountant_factory=factory,
-                    propose_workers=workers,
                 )
                 assert sage.access.supports_staged_requests
                 for i, c in enumerate((3_000.0, 20_000.0)):
@@ -545,64 +541,7 @@ class TestShardedPlatformParity(_TrajectoryMixin):
             assert fps[0] == fps[1], f"orders={orders} diverged"
 
 
-class TestParallelProposeDrive(_TrajectoryMixin):
-    def test_speculations_adopted_in_quiet_hours(self):
-        """Starved sessions (no staged charges) adopt every speculation."""
-        sage = Sage(CountStreamSource(1000, scale=1000), seed=0, propose_workers=4)
-        sage.advance(30.0)
-        config = AdaptiveConfig(epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4)
-        for i in range(8):
-            sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=1e12), config)
-        sage.advance(1.0)  # allocation hour
-        sage.advance(1.0)
-        adopted, invalidated = sage.last_hour_speculations
-        assert adopted == 8 and invalidated == 0
-
-    def test_sequential_hours_report_no_speculations(self):
-        """With the parallel phase off there are no speculations, so both
-        counters stay zero -- ordinary proposes are counted in neither."""
-        sage = Sage(CountStreamSource(4000, scale=1000), seed=3, propose_workers=0)
-        for i in range(4):
-            sage.submit(
-                OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0),
-                AdaptiveConfig(max_attempts=8),
-            )
-        for _ in range(6):
-            sage.advance(1.0)
-            assert sage.last_hour_speculations == (0, 0)
-        assert any(e.session.attempts for e in sage.pipelines)
-
-    def test_speculations_invalidated_after_staged_charges(self):
-        """Once an earlier session stages a charge, later sessions'
-        speculations are invalidated (the token catches the moved
-        snapshot) -- and only token misses count as invalidated, so every
-        speculation lands in exactly one counter."""
-        sage = Sage(CountStreamSource(4000, scale=1000), seed=3, propose_workers=4)
-        for i in range(4):
-            sage.submit(
-                OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0),
-                AdaptiveConfig(max_attempts=8),
-            )
-        hours_with_invalidation = 0
-        for _ in range(12):
-            n_waiting = sum(1 for e in sage.pipelines if e.waiting)
-            sage.advance(1.0)
-            adopted, invalidated = sage.last_hour_speculations
-            # Every waiting session is speculated exactly once and lands
-            # in exactly one counter -- except single-session hours, where
-            # _speculate_proposals skips speculation (nothing to share).
-            assert adopted + invalidated == (n_waiting if n_waiting >= 2 else 0)
-            if invalidated:
-                # Something moved the snapshot: a staged charge or a
-                # session leaving the waiting set mid-hour.
-                terminated = n_waiting - sum(
-                    1 for e in sage.pipelines if e.waiting
-                )
-                assert sage.last_hour_charges or terminated
-            if sage.last_hour_charges and invalidated:
-                hours_with_invalidation += 1
-        assert hours_with_invalidation > 0
-
+class TestStagedHourDrive(_TrajectoryMixin):
     def test_admit_cache_lives_only_inside_an_overlay(self):
         """No overlay, no cache: unstaged scans recompute every time.  An
         open overlay caches per floor and shares the read-only rows; the
@@ -634,7 +573,9 @@ class TestParallelProposeDrive(_TrajectoryMixin):
         assert acc._live_admit_rows(floor) is first
         acc.stage_charge([0], PrivacyBudget(1.0, 0.0))  # exhausts block 0
         entry = batch.admit_cache[floor]
-        assert entry.mask is mask and entry.rows is None  # patched, stale
+        assert entry.mask is mask and entry.rows is not first  # patched
+        assert not entry.rows.flags.writeable
+        assert acc._live_admit_rows(floor) is entry.rows
         assert acc.usable_blocks(floor) == [1, 2, 3]
         assert np.array_equal(
             acc._live_admit_rows(floor), acc._scan_live_admit_rows(floor)
@@ -659,7 +600,6 @@ class TestParallelProposeDrive(_TrajectoryMixin):
             CountStreamSource(1000, scale=1000),
             seed=0,
             accountant_factory=sharded_accountant_factory(3, commit_workers=2),
-            propose_workers=2,
         )
         sage.advance(5.0)
         for i in range(3):

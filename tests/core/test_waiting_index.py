@@ -3,8 +3,7 @@
 ``Sage`` keeps the table rows of its waiting pipelines as one array
 (derived when an hour opens, appended by ``submit``, shrunk by
 ``_redistribute``, captured and restored with a rolled-back hour).  Every
-allocation share, release target, escalation rate and speculation token
-reads it, so after every hour of every drive it must equal the rows
+allocation share, release target and escalation rate reads it, so after every hour of every drive it must equal the rows
 recomputed from scratch -- the waiting sessions' table rows in submission
 order -- and ``_new_block_share`` must equal the share recomputed from
 them.
@@ -98,9 +97,8 @@ def _clean_fault_registry():
         {},
         {"batched_advance": False},
         {"accountant_factory": sharded_accountant_factory(4)},
-        {"propose_workers": 2},
     ],
-    ids=["batched", "sequential", "sharded", "propose-workers"],
+    ids=["batched", "sequential", "sharded"],
 )
 def test_index_matches_statuses_every_hour(kwargs):
     with _build(**kwargs) as sage:

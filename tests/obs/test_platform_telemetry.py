@@ -4,7 +4,7 @@ span taxonomy of the hourly drive, and traced crash recovery.
 The headline property is PR 9's acceptance gate: attaching a
 :class:`~repro.obs.Telemetry` must leave the simulation byte-identical
 (per-hour state digests and the full protocol fingerprint) on every
-drive variant -- sequential, batched, speculative, sharded, durable.
+drive variant -- sequential, batched, sharded, durable.
 """
 
 import pytest
@@ -20,11 +20,7 @@ from repro.workload.oracle import CountStreamSource, OraclePipeline
 VARIANTS = {
     "sequential": {"batched_advance": False},
     "batched": {},
-    "speculative": {"propose_workers": 2},
-    "sharded": {
-        "accountant_factory": sharded_accountant_factory(4),
-        "propose_workers": 2,
-    },
+    "sharded": {"accountant_factory": sharded_accountant_factory(4)},
 }
 
 
@@ -78,7 +74,6 @@ class TestByteParity:
         # The diagnostics stay identical too -- the registry-backed
         # compat properties feed the same numbers either way.
         assert traced.last_hour_charges == bare.last_hour_charges
-        assert traced.last_hour_speculations == bare.last_hour_speculations
         traced.close()
         bare.close()
 
@@ -158,7 +153,6 @@ class TestSpanTaxonomy:
         assert {
             "advance.hour",
             "advance.open",
-            "advance.propose_fanout",
             "session.drive",
             "charge.batch",
             "shard.validate",
@@ -181,22 +175,6 @@ class TestSpanTaxonomy:
         assert metrics.counter_value("sage_wal_bytes_total") > 0
         assert metrics.counter_value("sage_wal_fsyncs_total") > 0
         assert metrics.counter_value("sage_snapshots_written_total") > 0
-
-    def test_speculation_events_fire_on_the_parallel_drive(self):
-        telemetry = Telemetry()
-        sage = _build("speculative", telemetry=telemetry)
-        _drive(sage, 4)
-        adopted, invalidated = (
-            telemetry.metrics.counter_value("sage_speculations_adopted_total"),
-            telemetry.metrics.counter_value("sage_speculations_invalidated_total"),
-        )
-        assert adopted + invalidated > 0
-        assert len(telemetry.tracer.find_events("speculation.adopted")) == adopted
-        assert (
-            len(telemetry.tracer.find_events("speculation.invalidated"))
-            == invalidated
-        )
-        sage.close()
 
     def test_spans_are_emitted_serially_and_nest_under_the_hour(self):
         telemetry = Telemetry()
