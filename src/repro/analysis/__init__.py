@@ -3,8 +3,8 @@
 Sage's correctness story rests on invariants the code can only *state* --
 ``propose_peek()`` is a pure accountant read, every staged hour closes its
 overlay on every path, totals columns are only written through the
-filter-declared schema, thread-pool callables share nothing mutable, and
-parity-critical accumulation never iterates unordered containers.  The
+filter-declared schema, and parity-critical accumulation never iterates
+unordered containers.  The
 property-test suite checks these dynamically; this package is the cheap,
 always-on static complement that catches a contract violation at lint time,
 before a fast path silently diverges.

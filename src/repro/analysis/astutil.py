@@ -18,16 +18,15 @@ __all__ = [
     "attr_chain",
     "assigned_target_nodes",
     "walk_calls",
-    "function_defs",
     "MUTATOR_METHODS",
     "SELF_MUTATOR_METHODS",
 ]
 
 # Method names that unambiguously mutate accounting state wherever they are
 # called: ledger/store writes, charge execution, staging, settlement.  Used
-# by the purity and thread-shared-state rules regardless of the receiver,
-# since e.g. ``led.record(...)`` mutates no matter what local name the
-# ledger is bound to.
+# by the purity rule regardless of the receiver, since e.g.
+# ``led.record(...)`` mutates no matter what local name the ledger is
+# bound to.
 MUTATOR_METHODS = frozenset(
     {
         "record",
@@ -128,10 +127,3 @@ def walk_calls(node: ast.AST) -> Iterator[ast.Call]:
     for child in ast.walk(node):
         if isinstance(child, ast.Call):
             yield child
-
-
-def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    """Every (sync or async) function definition in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -8,10 +8,10 @@ halves, and this rule enforces both statically:
   the pure-read seeds (``propose_peek`` / ``admits_keys`` / ``can_charge``
   / ``max_epsilon``) must contain no telemetry emission.  The hazard is
   concrete: ``can_charge_many`` and ``charge_many`` share
-  ``_validate_many_vectorized``, so a span emitted there would fire from
-  worker-thread peeks too -- nondeterministic emission order, a logical
-  clock that depends on pool scheduling, and a byte-different trace per
-  run.  Reachability reuses the purity rule's typed call graph (one build
+  ``_validate_many_vectorized``, so a span emitted there would also fire
+  from every ``can_charge_many`` peek -- the trace would then depend on
+  how often a caller peeked, not on what the drive committed.
+  Reachability reuses the purity rule's typed call graph (one build
   per project, cached on it).
 * **Telemetry never mutates accounting.**  Modules under ``src/repro/obs/``
   observe through documented pure reads; a call to any known accounting
@@ -21,14 +21,12 @@ halves, and this rule enforces both statically:
   property forbids.
 
 A telemetry *emission* is a ``span`` / ``event`` / ``inc`` / ``set_gauge``
-/ ``observe`` / ``record_span`` call whose receiver chain is rooted in
-telemetry state (a name containing ``tracer`` / ``telemetry`` /
-``metrics`` / ``profiler`` / ``probe`` -- the platform deliberately names
-its handles that way, and the thread-shared-state rule keeps those
-handles off pool threads).  PR 10's :class:`~repro.obs.WallProfiler`
-rides the same emission surface plus ``record_span``, and the same
-isolation applies: a wall-clock span on a pure read path would fire from
-worker threads with a pool-scheduled emission order.  Deliberate
+/ ``observe`` call whose receiver chain is rooted in telemetry state (a
+name containing ``tracer`` / ``telemetry`` / ``metrics`` / ``profiler`` /
+``probe`` -- the platform deliberately names its handles that way).
+The wall-clock :class:`~repro.obs.WallProfiler` rides the same emission
+surface, and the same isolation applies: a wall-clock span on a pure
+read path would make "turn on profiling" a change to that path.  Deliberate
 exceptions carry the standard ``# repro: allow(telemetry-isolation) --
 reason`` marker.
 """
@@ -49,11 +47,8 @@ _CORE_PREFIX = "src/repro/core/"
 _OBS_PREFIX = "src/repro/obs/"
 
 #: Emission surface of the tracer, the metrics registry, and the
-#: wall-clock profiler (``record_span`` synthesizes an already-closed
-#: span from a pool-measured duration -- still an emission).
-TELEMETRY_METHODS = frozenset(
-    {"span", "event", "inc", "set_gauge", "observe", "record_span"}
-)
+#: wall-clock profiler.
+TELEMETRY_METHODS = frozenset({"span", "event", "inc", "set_gauge", "observe"})
 
 # Receiver-chain roots that mark a call as telemetry emission.
 _TELEMETRY_ROOTS = ("tracer", "telemetry", "metrics", "profiler", "probe")

@@ -75,9 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-every", type=int, default=0, help="snapshot cadence (0 = never)"
     )
     pw.add_argument(
-        "--shards", type=int, default=0, help="accountant shards (0 = single store)"
-    )
-    pw.add_argument(
         "--crash-at",
         default=None,
         metavar="POINT",
@@ -122,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--pipelines", type=int, default=3, help="oracle pipelines")
     po.add_argument("--seed", type=int, default=5)
     po.add_argument(
-        "--shards", type=int, default=0, help="accountant shards (0 = single store)"
-    )
-    po.add_argument(
         "--format",
         choices=["json", "prometheus"],
         default="json",
@@ -133,27 +127,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser(
         "trace",
-        help="drive a sharded durable demo hour-by-hour and write a Chrome "
+        help="drive a durable demo hour-by-hour and write a Chrome "
         "trace (load the file in Perfetto / chrome://tracing)",
     )
     pt.add_argument("--out", required=True, metavar="PATH", help="trace file to write")
     pt.add_argument("--hours", type=int, default=6, help="hours of stream time")
     pt.add_argument("--pipelines", type=int, default=3, help="oracle pipelines")
     pt.add_argument("--seed", type=int, default=5)
-    pt.add_argument("--shards", type=int, default=4, help="accountant shards")
     pt.add_argument(
         "--snapshot-every", type=int, default=2, help="snapshot cadence (0 = never)"
     )
 
     pp = sub.add_parser(
         "profile",
-        help="drive a sharded durable demo under the wall profiler and "
+        help="drive a durable demo under the wall profiler and "
         "print the per-phase breakdown and per-hour critical paths",
     )
     pp.add_argument("--hours", type=int, default=6, help="hours of stream time")
     pp.add_argument("--pipelines", type=int, default=3, help="oracle pipelines")
     pp.add_argument("--seed", type=int, default=5)
-    pp.add_argument("--shards", type=int, default=4, help="accountant shards")
     pp.add_argument(
         "--snapshot-every", type=int, default=2, help="snapshot cadence (0 = never)"
     )
@@ -287,20 +279,54 @@ def _write_json_atomic(path, payload) -> None:
 
 def _demo_platform(manifest, wal_dir, telemetry=None):
     from repro.core.platform import Sage
-    from repro.core.sharding import sharded_accountant_factory
     from repro.workload.oracle import CountStreamSource
 
-    kwargs = {}
-    if manifest["shards"]:
-        kwargs["accountant_factory"] = sharded_accountant_factory(manifest["shards"])
     return Sage(
         CountStreamSource(4000, scale=1000),
         seed=manifest["seed"],
         wal_dir=wal_dir,
         snapshot_every=manifest["snapshot_every"],
         telemetry=telemetry,
-        **kwargs,
     )
+
+
+def _read_manifest(wal_dir):
+    """Load and check a wal-demo ``manifest.json``.
+
+    A torn or non-object file, or a missing or ill-typed key, raises
+    :class:`~repro.errors.RecoveryError`.  Keys beyond the three the demo
+    needs are ignored, so manifests that still carry ``"shards"`` recover
+    on the single store.
+    """
+    import json
+
+    from repro.errors import RecoveryError
+
+    path = wal_dir / "manifest.json"
+    if not path.exists():
+        raise RecoveryError(f"no manifest.json in {wal_dir} (not a wal-demo directory?)")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, undecodable, torn
+        raise RecoveryError(f"{path} is unreadable or not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise RecoveryError(f"{path} must hold a JSON object")
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    checks = {
+        "seed": is_int,
+        "snapshot_every": lambda v: is_int(v) and v >= 0,
+        "targets": lambda v: isinstance(v, list)
+        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v),
+    }
+    for key, valid in checks.items():
+        if key not in manifest:
+            raise RecoveryError(f"{path} lacks the {key!r} key")
+        if not valid(manifest[key]):
+            raise RecoveryError(f"{path} has an invalid {key!r}: {manifest[key]!r}")
+    return manifest
 
 
 def _demo_pipelines(manifest):
@@ -353,7 +379,6 @@ def _cmd_wal_demo(args) -> str:
     wal_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "seed": args.seed,
-        "shards": args.shards,
         "snapshot_every": args.snapshot_every,
         # Spread targets so early pipelines terminate inside the demo
         # window while later ones are still mid-session at any crash.
@@ -401,17 +426,12 @@ def _cmd_wal_demo(args) -> str:
 
 
 def _cmd_recover(args) -> str:
-    import json
     from pathlib import Path
 
     from repro.core import durability
-    from repro.errors import RecoveryError
 
     wal_dir = Path(args.wal_dir)
-    manifest_path = wal_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise RecoveryError(f"no manifest.json in {wal_dir} (not a wal-demo directory?)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(wal_dir)
     telemetry = _maybe_telemetry(args.trace_out, args.profile_out)
     sage = _demo_platform(manifest, wal_dir, telemetry=telemetry)
     report = sage.recover(_demo_pipelines(manifest))
@@ -431,7 +451,6 @@ def _cmd_obs_report(args) -> str:
     telemetry = Telemetry()
     manifest = {
         "seed": args.seed,
-        "shards": args.shards,
         "snapshot_every": 0,
         "targets": [3_000.0 * (2.0 ** i) for i in range(args.pipelines)],
     }
@@ -441,7 +460,7 @@ def _cmd_obs_report(args) -> str:
     for _ in range(args.hours):
         sage.advance(1.0)
     # Fold the end-of-drive privacy state into the registry: loss bound vs
-    # budget, block lifecycle, per-block dashboard, per-shard bounds.
+    # budget, block lifecycle, per-block dashboard.
     telemetry.metrics.observe_privacy(sage.access.accountant)
     telemetry.metrics.observe_dashboard(sage.access.accountant)
     sage.close()
@@ -457,13 +476,12 @@ def _cmd_trace(args) -> str:
     telemetry = Telemetry()
     manifest = {
         "seed": args.seed,
-        "shards": args.shards,
         "snapshot_every": args.snapshot_every,
         "targets": [3_000.0 * (2.0 ** i) for i in range(args.pipelines)],
     }
-    # Durable + sharded on a throwaway WAL directory, so the trace shows
-    # the full span taxonomy: per-shard validation, WAL append/fsync,
-    # snapshot writes, and compaction -- not just the volatile drive.
+    # Durable on a throwaway WAL directory, so the trace shows the full
+    # span taxonomy: charge batches, WAL append/fsync, snapshot writes,
+    # and compaction -- not just the volatile drive.
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as wal_dir:
         sage = _demo_platform(manifest, wal_dir, telemetry=telemetry)
         for pipeline, config in _demo_pipelines(manifest):
@@ -475,7 +493,7 @@ def _cmd_trace(args) -> str:
     tracer = telemetry.tracer
     return "\n".join(
         [
-            f"drove {args.hours} hour(s) over {args.shards} shard(s)",
+            f"drove {args.hours} hour(s)",
             f"{len(tracer.spans)} span(s), {len(tracer.events)} event(s)",
             f"trace written to {path} (open in Perfetto / chrome://tracing)",
         ]
@@ -495,13 +513,11 @@ def _cmd_profile(args) -> str:
     telemetry = Telemetry(profiler=WallProfiler())
     manifest = {
         "seed": args.seed,
-        "shards": args.shards,
         "snapshot_every": args.snapshot_every,
         "targets": [3_000.0 * (2.0 ** i) for i in range(args.pipelines)],
     }
-    # Same durable + sharded demo the trace command drives, so the
-    # profile decomposes the full taxonomy -- including per-shard
-    # validation wall time and the fsync path.
+    # Same durable demo the trace command drives, so the profile
+    # decomposes the full taxonomy -- including the fsync path.
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as wal_dir:
         sage = _demo_platform(manifest, wal_dir, telemetry=telemetry)
         for pipeline, config in _demo_pipelines(manifest):
@@ -511,7 +527,7 @@ def _cmd_profile(args) -> str:
         sage.close()
     profiler = telemetry.profiler
     lines = [
-        f"profiled {args.hours} hour(s) over {args.shards} shard(s)",
+        f"profiled {args.hours} hour(s)",
         "",
         render_breakdown(profiler),
         "",

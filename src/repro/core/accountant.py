@@ -45,7 +45,9 @@ are in registration order and are never reclaimed; the matrix grows by
 doubling.  Every :class:`BlockLedger` stays the per-block API -- it owns the
 charge history and mirrors its totals into its store row on every commit, so
 the matrix is always in sync no matter whether a charge lands through the
-accountant or directly on a ledger.
+accountant or directly on a ledger.  Each accountant owns exactly one store:
+whole-stream scans, the staged overlay, and the platform's
+``ReservationTable`` columns all index its rows (``rows_for_keys``).
 
 Batched-API contract: the accountant evaluates whole-stream scans
 (``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
@@ -120,17 +122,6 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
 Staging requires the vectorized filter path (``staging_supported``);
 mutating the accountant through ``charge``/``charge_many`` while a batch is
 open is an error, since the overlay could not see those writes.
-
-Sharding
---------
-:mod:`repro.core.sharding` builds on exactly these contracts: a
-:class:`~repro.core.sharding.ShardedBlockAccountant` keeps each shard's
-totals in its own contiguous :class:`LedgerStore` while presenting the
-same global row space (rows in registration order -- the
-``rows_for_keys`` / ``ReservationTable`` alignment invariant), validates
-``charge_many`` batches shard-locally with this module's float
-accumulation, and commits all shards or none.  The partitioner contract
-and the global-row-space invariant are documented there.
 
 Overlay-scoped admit cache
 --------------------------
@@ -590,17 +581,12 @@ class BlockAccountant:
         ledger = BlockLedger(
             key=key, filter=self._make_filter(self.epsilon_global, self.delta_global)
         )
-        row = self._append_store_row(key)
+        row = self._store.append()
         ledger._attach(self._store, row)
         self._ledgers[key] = ledger
         self._keys.append(key)
         self._rows[key] = row
         return ledger
-
-    def _append_store_row(self, key: object) -> int:
-        """Store-row allocation hook for :meth:`register_block`; sharded
-        accountants route the row to the partitioner's shard."""
-        return self._store.append()
 
     def register_blocks(self, keys: Sequence[object]) -> None:
         for key in keys:
@@ -632,9 +618,8 @@ class BlockAccountant:
 
     def attach_tracer(self, tracer) -> None:
         """Attach a telemetry tracer (``None`` detaches).  The tracer only
-        ever *records* -- batch spans on ``charge_many`` and, for sharded
-        accountants, per-shard commit spans -- so attaching one cannot
-        change any admission decision."""
+        ever *records* batch spans on ``charge_many``, so attaching one
+        cannot change any admission decision."""
         self._tracer = tracer
 
     @property
@@ -722,11 +707,6 @@ class BlockAccountant:
         """Number of charges staged in the open batch (0 when none is open)."""
         return len(self._staged.requests) if self._staged is not None else 0
 
-    def _new_staged_batch(self) -> StagedBatch:
-        """Overlay factory hook; sharded accountants return an overlay that
-        also tracks staged spend per shard."""
-        return StagedBatch(self)
-
     def begin_staging(self) -> StagedBatch:
         """Open a staged batch; subsequent reads see staged charges.
 
@@ -741,7 +721,7 @@ class BlockAccountant:
                 "staging requires a homogeneous totals-deciding filter; "
                 "this accountant's filter routes through the scalar path"
             )
-        self._staged = self._new_staged_batch()
+        self._staged = StagedBatch(self)
         return self._staged
 
     def _clear_admit_cache(self) -> None:
@@ -946,19 +926,6 @@ class BlockAccountant:
             counts_delta[lrows] += 1
         return touched, work, counts_delta
 
-    def _validate_for_commit(self, norm: List[tuple]):
-        """Phase-one validation as invoked from the commit path.
-
-        Same contract as :meth:`_validate_many_vectorized`, which it
-        delegates to -- but this seam is reachable only from
-        :meth:`charge_many` (a mutator), never from the pure read surface
-        (``can_charge_many`` calls the validator directly).  The sharded
-        accountant overrides it to stopwatch per-shard validation for the
-        wall profiler, which the telemetry-isolation and purity rules
-        forbid on the shared pure-reachable validator itself.
-        """
-        return self._validate_many_vectorized(norm)
-
     def _apply_many_scalar(self, norm: List[tuple], commit: bool) -> List[ChargeRecord]:
         """Per-ledger sequential apply with full rollback -- the exact path
         for filters whose decisions batched scans cannot reproduce."""
@@ -1026,10 +993,9 @@ class BlockAccountant:
             if self._tracer is not None
             else nullcontext()
         ):
-            touched, work, counts_delta = self._validate_for_commit(norm)
-            # Crash point between phase-one validation and the phase-two
-            # commit (for the sharded accountant this sits exactly between
-            # the 2PC phases: every shard has validated, none has written).
+            touched, work, counts_delta = self._validate_many_vectorized(norm)
+            # Crash point between validation and the bulk commit: the
+            # batch is proven admissible, nothing has been written.
             faults.trip("charge.between_validate_and_commit")
             return self._commit_validated(norm, touched, work, counts_delta)
 
@@ -1157,8 +1123,7 @@ class BlockAccountant:
     def restore_state(self, state: dict) -> None:
         """Restore an :meth:`export_state` snapshot into a *fresh* accountant.
 
-        Blocks re-register through the normal registration path (so a
-        sharded accountant rebuilds the identical row-to-shard routing),
+        Blocks re-register through the normal registration path,
         ledger histories are rebuilt from the exported charge log, and the
         exported totals are written back verbatim -- the restored store is
         byte-identical to the exported one.
@@ -1381,29 +1346,14 @@ class BlockAccountant:
         (Theorem 4.2), i.e. the component-wise max over block bounds.
 
         (A lexicographic max would under-report delta whenever the
-        highest-epsilon block is not also the highest-delta one.)
+        highest-epsilon block is not also the highest-delta one.)  One
+        vectorized pass for the known filter families; blocks with no
+        charges contribute zero, not the filter's slack.
         """
         if not self._keys:
             return ZERO_BUDGET
-        return self._loss_bound_over_rows(None)
-
-    def _loss_bound_over_rows(self, rows: Optional[np.ndarray]) -> PrivacyBudget:
-        """Component-wise max of the per-block bounds of the named store
-        rows -- ``stream_loss_bound`` over all rows (``rows=None``, which
-        reduces over the store view without copying it), a shard's bound
-        over its rows (``ShardedBlockAccountant.shard_loss_bounds``).  One
-        vectorized pass for the known filter families; blocks with no
-        charges contribute zero, not the filter's slack."""
-        if rows is None:
-            if len(self._store) == 0:
-                return ZERO_BUDGET
-            totals_rows = self._store.totals
-            counts = self._store.charge_counts
-        else:
-            if rows.size == 0:
-                return ZERO_BUDGET
-            totals_rows = self._store.totals[rows]
-            counts = self._store.charge_counts[rows]
+        totals_rows = self._store.totals
+        counts = self._store.charge_counts
         if type(self._batch_filter) is BasicCompositionFilter:
             # Basic composition's per-block bound is exactly the totals row.
             eps = float(totals_rows[:, TOT_EPS].max())
@@ -1436,8 +1386,7 @@ class BlockAccountant:
             )
         worst_eps = 0.0
         worst_delta = 0.0
-        row_iter = range(len(self._store)) if rows is None else rows
-        for i in row_iter:
+        for i in range(len(self._store)):
             bound = self._ledgers[self._keys[i]].loss_bound()
             worst_eps = max(worst_eps, bound.epsilon)
             worst_delta = max(worst_delta, bound.delta)

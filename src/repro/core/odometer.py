@@ -168,11 +168,9 @@ def loss_dashboard(
     basic variant is a single vectorized pass over the accountant's
     struct-of-arrays store.
 
-    Sharded accountants are covered transparently: their ``store.totals``
-    is the global-row-space view spanning every shard and ``block_keys``
-    stays in global registration order, so the dashboard aggregates all
-    shards, in stream order (regression-tested sharded-vs-single in
-    ``tests/core/test_sharding.py``).
+    The accountant's one store holds every block's row in registration
+    order, the order of ``block_keys``, so the dashboard lists blocks in
+    stream order.
 
     To export these bounds as metrics (``sage_block_epsilon{block=...}``
     gauges for a Prometheus scrape or the JSON report), use

@@ -48,15 +48,6 @@ Streams whose accountant cannot vectorize (custom scalar-only filters, or
 with immediate per-proposal ``request`` execution -- trajectories are
 float-identical either way; only the commit granularity changes.
 
-Sharded accounting
-------------------
-``accountant_factory`` (e.g. :func:`repro.core.sharding.sharded_accountant_factory`)
-swaps in a :class:`~repro.core.sharding.ShardedBlockAccountant`, whose per-shard
-contiguous stores validate the hour's one ``request_many`` batch shard by
-shard and commit all-or-nothing -- the hourly batch is the shard-commit
-unit.  The reservation table needs no changes: sharded accountants keep
-``rows_for_keys`` in the same global row space.
-
 Reservation table
 -----------------
 Per-pipeline epsilon reservations live in one contiguous
@@ -338,10 +329,6 @@ class Sage:
     hour into the accountant's no-revalidation bulk commit (byte-identical
     state, roughly half the hourly accounting cost).
 
-    ``accountant_factory`` swaps the stream accountant implementation
-    (e.g. :func:`repro.core.sharding.sharded_accountant_factory` for a
-    partitioned ledger store) -- trajectories are preserved byte for byte.
-
     ``wal_dir`` turns on the durable drive (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
     charge log *before* it commits in memory, every ``snapshot_every``
@@ -375,7 +362,6 @@ class Sage:
         seed: Optional[int] = None,
         batched_advance: bool = True,
         trusted_staged_commit: bool = False,
-        accountant_factory=None,
         wal_dir=None,
         snapshot_every: int = 0,
         snapshot_keep: int = 3,
@@ -410,7 +396,6 @@ class Sage:
             delta_global,
             filter_factory=filter_factory,
             trusted_staged_commit=trusted_staged_commit,
-            accountant_factory=accountant_factory,
         )
         self.store = ModelFeatureStore()
         self.epsilon_global = epsilon_global
@@ -427,8 +412,7 @@ class Sage:
         # of submit's bookkeeping.
         self._waiting: List[int] = []
         self.batched_advance = batched_advance
-        # The drive emits its spans from the accountant's serial commit
-        # points (charge batches, per-shard validation footprints).
+        # The accountant emits a span per charge batch it commits.
         if self._tracer is not None:
             self.access.accountant.attach_tracer(self._tracer)
             # Armed crash points report their firings as trace events
@@ -651,13 +635,9 @@ class Sage:
         entry.settled_attempts = len(attempts)
 
     def close(self) -> None:
-        """Release worker threads (for sharded accountants, the
-        shard-validation pool), the WAL handle, and the fault observer.
-        Idempotent; the platform keeps working afterwards -- pools are
-        re-created on demand."""
-        accountant_close = getattr(self.access.accountant, "close", None)
-        if accountant_close is not None:
-            accountant_close()
+        """Release the WAL handle and the fault observer.  Idempotent; the
+        platform keeps working afterwards -- the WAL reopens on the next
+        durable hour."""
         if self._wal is not None:
             self._wal.close()
             self._wal = None

@@ -4,7 +4,7 @@ PR 9's tracer answers *what happened in what order* -- its logical tick
 clock makes traces replayable and byte-identical across runs, which is
 exactly why it cannot answer *where the time went*.  This module is the
 other half of the split: a :class:`WallProfiler` that records the very
-same span taxonomy (``session.drive``, ``shard.validate``,
+same span taxonomy (``session.drive``, ``charge.batch``,
 ``staging.commit``, ``wal.fsync``, ...) but stamps every span with real
 ``time.perf_counter`` durations, so a profiled contention hour decomposes
 into a per-phase wall-clock breakdown instead of a tick ordering.
@@ -28,16 +28,9 @@ wall-clock-vs-logical-tick split by design -- the profiler is excluded
 from every byte-parity artifact, while the tracer remains the replayable
 record.
 
-**Serial emission still holds.**  Like the tracer, the profiler's span
-stack is only ever touched from the serial drive.  Work that happens in
-pool threads (per-shard phase-one validation) is measured *in* the worker
-with plain ``perf_counter`` arithmetic and recorded at the serial commit
-point via :meth:`WallProfiler.record_span`, which synthesizes an
-already-closed span carrying the measured duration -- per-shard wall
-attribution without a single cross-thread profiler call.  Because those
-shards validated concurrently, their wall times may legitimately sum to
-more than the enclosing phase's duration; the analyzer clamps self-times
-at zero for exactly this case.
+**Serial emission still holds.**  The drive runs on one thread, and like
+the tracer the profiler's span stack is only ever touched from it: every
+profiler span opens and closes around the code it measures.
 
 Durations and timestamps are microseconds (so profiler spans export
 through the same Chrome-trace path as tracer spans with ``ts`` already in
@@ -47,7 +40,7 @@ the unit Perfetto expects).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import Event, Span, Tracer
@@ -75,10 +68,7 @@ class SpanStats:
     """Aggregated wall statistics for one span name (microseconds).
 
     ``self_time`` is duration minus child-span time, clamped at zero per
-    span (pool-parallel children recorded via
-    :meth:`WallProfiler.record_span` may exceed their serial parent).
-    ``by_shard`` decomposes names whose spans carry a ``shard`` argument
-    (``shard.validate`` / ``shard.commit``) into per-shard rows.
+    span.
     """
 
     name: str
@@ -88,7 +78,6 @@ class SpanStats:
     p50: float = 0.0
     p95: float = 0.0
     max: float = 0.0
-    by_shard: Dict[int, "SpanStats"] = field(default_factory=dict)
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -113,32 +102,9 @@ class WallProfiler(Tracer):
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         super().__init__(clock=clock if clock is not None else WallClock())
 
-    def record_span(self, name: str, duration: float, **args: object) -> Span:
-        """Record a pre-measured span (e.g. pool-parallel shard work).
-
-        The span closes at the current clock reading and extends
-        ``duration`` microseconds back from it, parented under whatever
-        span is open on the serial stack -- measurement happened
-        elsewhere (a worker thread), emission happens here, serially.
-        """
-        self._next_id += 1
-        end = self._clock()
-        span = Span(
-            self._next_id,
-            self._open[-1].span_id if self._open else None,
-            name,
-            end - duration,
-            end,
-            self.hour,
-            args,
-            self,
-        )
-        self.spans.append(span)
-        return span
-
     def aggregate(self) -> Dict[str, SpanStats]:
         """Per-name wall statistics: count / total / self / p50 / p95 /
-        max, with per-shard sub-rows for shard-labelled spans."""
+        max."""
         from repro.obs.analyze import self_times
 
         selfs = self_times(self)
@@ -147,15 +113,7 @@ class WallProfiler(Tracer):
             groups.setdefault(span.name, []).append(span)
         stats: Dict[str, SpanStats] = {}
         for name in sorted(groups):
-            spans = groups[name]
-            stats[name] = entry = _stats_of(name, spans, selfs)
-            shards: Dict[int, List[Span]] = {}
-            for span in spans:
-                shard = span.args.get("shard")
-                if shard is not None:
-                    shards.setdefault(int(shard), []).append(span)
-            for shard in sorted(shards):
-                entry.by_shard[shard] = _stats_of(name, shards[shard], selfs)
+            stats[name] = _stats_of(name, groups[name], selfs)
         return stats
 
 
@@ -185,8 +143,6 @@ def render_profile(profiler: WallProfiler) -> str:
     ordered = sorted(stats.values(), key=lambda s: -s.self_time)
     for entry in ordered:
         lines.append(_stats_row(entry.name, entry, total_wall))
-        for shard, sub in sorted(entry.by_shard.items()):
-            lines.append(_stats_row(f"  [shard {shard}]", sub, total_wall))
     lines.append(
         f"{'(total self time)':<28} {'':>7} {'':>10} "
         f"{total_wall / 1e3:>8.2f}ms"
@@ -247,9 +203,8 @@ class Probe:
     profiler is configured, and the plain tracer otherwise -- call sites
     are written once against the common ``span`` / ``event`` / ``hour``
     surface.  The tracer half always goes first (its tick sequence must
-    not depend on the profiler's presence); consumers that need one half
-    specifically (the sharded commit point's per-shard attribution)
-    reach it via ``.tracer`` / ``.profiler``.
+    not depend on the profiler's presence); ``.tracer`` / ``.profiler``
+    reach either half directly.
     """
 
     __slots__ = ("tracer", "profiler")

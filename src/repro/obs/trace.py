@@ -11,12 +11,9 @@ choices:
   order.  Injecting ``time.perf_counter`` (scaled) turns the same spans
   into real wall-clock profiles for production use -- nothing else
   changes.
-* **Serial emission.**  Instrumentation sites live only on the drive's
-  serial coordination points (the platform never emits from inside a
-  worker thread), so the emission order -- and therefore every tick -- is
-  deterministic.  Per-shard validation spans, for example, are emitted at
-  the serial commit point from the batch's per-shard footprint rather
-  than from the validation pool.
+* **Serial emission.**  The hourly drive runs on one thread and every
+  instrumentation site sits on it, so the emission order -- and
+  therefore every tick -- is deterministic.
 
 Span identifiers are a plain counter (no UUIDs, no PIDs), the ``hour``
 field is the platform's committed-hour index at emission time, and the

@@ -7,8 +7,8 @@ never sees this file (the engine skips directories named ``fixtures``).
 
 class Accountant:
     def can_charge(self, keys, budget):
-        self._profiler.record_span("charge.peeked", 12.5)  # profiler emission on a seed
-        return self._scan(keys, budget)
+        with self._profiler.span("charge.peeked"):  # profiler span on a seed
+            return self._scan(keys, budget)
 
     def _scan(self, keys, budget):
         with self._probe.span("scan.window"):  # tee emission on a reachable helper

@@ -1,8 +1,7 @@
 """Fixed profiler fixture: wall-clock emission only on the mutating drive.
 
-The commit path measures pool work into a plain local dict (no telemetry
-off the serial path) and replays it serially through ``record_span`` --
-the PR 10 pattern for per-shard attribution.
+The commit path opens its profiler span on the serial mutating drive; the
+pure read path it shares with ``can_charge`` stays telemetry-free.
 """
 
 
@@ -18,9 +17,7 @@ class Accountant:
 
     def charge_many(self, requests):
         # Emission is fine here: charge_many IS the serial mutating drive.
-        walls = {shard: 1.0 for shard, _ in enumerate(requests)}
         with self._probe.span("charge.batch", requests=len(requests)):
-            committed = [self._scan(keys, budget) for keys, budget in requests]
-        for shard, wall in sorted(walls.items()):
-            self._profiler.record_span("shard.validate", wall, shard=shard)
+            with self._profiler.span("charge.validate"):
+                committed = [self._scan(keys, budget) for keys, budget in requests]
         return committed

@@ -35,7 +35,6 @@ def test_every_suppression_is_purity_reviewed():
     project = collect_project(REPO_ROOT, LINT_PATHS)
     allowed_files = {
         "src/repro/core/accountant.py",
-        "src/repro/core/sharding.py",
     }
     for module in project:
         for line, rules in sorted(module.allow.items()):

@@ -8,7 +8,6 @@ from repro.analysis import sanitizer
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, LedgerStore
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
-from repro.core.sharding import ShardedLedgerStore
 from repro.dp.budget import PrivacyBudget
 from repro.data.database import GrowingDatabase, StreamIngestor
 from repro.data.stream import TimePartitioner
@@ -76,11 +75,10 @@ class TestWriteBarrier:
                 store.write_row(row, np.zeros(store.width), 1)
         store.write_row(row, np.zeros(store.width), 1)
 
-    def test_sharded_store_freezes_mirror_and_shards(self):
-        store = ShardedLedgerStore(3, width=4)
+    def test_store_freezes_totals_and_counts(self):
+        store = LedgerStore(capacity=4)
         arrays = sanitizer.frozen_arrays(store)
-        # Mirror + 3 shards, totals + counts each.
-        assert len(arrays) == 8
+        assert len(arrays) == 2
         with sanitizer.write_barrier(store):
             assert all(not a.flags.writeable for a in arrays)
         assert all(a.flags.writeable for a in arrays)

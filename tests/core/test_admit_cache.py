@@ -7,9 +7,8 @@ interleaving -- scans at several floors, staged charges (including ones
 that exhaust or retire blocks, and refused ones), mid-overlay
 registrations and rollbacks, and every way an overlay closes -- each
 cached floor's mask and row array equal an uncached recompute, bit for
-bit.  Covered for basic, strong and Renyi filters, on a single and a
-sharded accountant.  A mutant whose patch skips the touched rows must
-fail the same check.
+bit.  Covered for basic, strong and Renyi filters.  A mutant whose patch
+skips the touched rows must fail the same check.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.accountant import BlockAccountant
 from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
-from repro.core.sharding import HashPartitioner, ShardedBlockAccountant
 from repro.dp.budget import PrivacyBudget
 from repro.errors import BlockRetiredError, BudgetExceededError
 
@@ -50,14 +48,8 @@ CHARGES = [
 ]
 
 
-def make_accountant(filter_name, sharded):
-    factory = FILTERS[filter_name]
-    if sharded:
-        acc = ShardedBlockAccountant(
-            EPS_G, DELTA_G, filter_factory=factory, partitioner=HashPartitioner(3)
-        )
-    else:
-        acc = BlockAccountant(EPS_G, DELTA_G, filter_factory=factory)
+def make_accountant(filter_name):
+    acc = BlockAccountant(EPS_G, DELTA_G, filter_factory=FILTERS[filter_name])
     acc.register_blocks(range(N_INITIAL))
     return acc
 
@@ -152,17 +144,15 @@ def drive(acc, ops):
         acc.pop_staged()
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
 @pytest.mark.parametrize("filter_name", sorted(FILTERS))
 @settings(max_examples=40, deadline=None)
 @given(ops=st.lists(OPS, min_size=1, max_size=40))
-def test_cached_scans_equal_uncached_recompute(filter_name, sharded, ops):
-    drive(make_accountant(filter_name, sharded), ops)
+def test_cached_scans_equal_uncached_recompute(filter_name, ops):
+    drive(make_accountant(filter_name), ops)
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
 @pytest.mark.parametrize("filter_name", sorted(FILTERS))
-def test_committed_state_matches_uncached_drive(filter_name, sharded):
+def test_committed_state_matches_uncached_drive(filter_name):
     """Closing overlays through the cache leaves the same committed state
     as the same charges applied with no scan ever cached."""
     rng = np.random.default_rng(11)
@@ -174,9 +164,9 @@ def test_committed_state_matches_uncached_drive(filter_name, sharded):
         if rng.random() < 0.15:
             ops.append(("close", "trusted"))
             ops.append(("open",))
-    cached = make_accountant(filter_name, sharded)
+    cached = make_accountant(filter_name)
     drive(cached, ops)
-    plain = make_accountant(filter_name, sharded)
+    plain = make_accountant(filter_name)
     drive(plain, [op for op in ops if op[0] != "scan"])
     assert cached.store.totals.tobytes() == plain.store.totals.tobytes()
     assert cached.store.charge_counts.tobytes() == plain.store.charge_counts.tobytes()
@@ -206,4 +196,60 @@ def test_mutant_patch_is_caught(monkeypatch, filter_name, mutant):
         ("stage", 0, 2, CHARGES.index(PrivacyBudget(1.0, 0.0))),
     ]
     with pytest.raises(AssertionError, match="drifted"):
-        drive(make_accountant(filter_name, sharded=False), ops)
+        drive(make_accountant(filter_name), ops)
+
+
+def test_admit_cache_lives_only_inside_an_overlay():
+    """No overlay, no cache: unstaged scans recompute every time.  An
+    open overlay caches per floor and shares the read-only rows; the
+    cache closes with the overlay."""
+    acc = BlockAccountant(1.0, 1e-6)
+    acc.register_blocks(range(4))
+    floor = PrivacyBudget(0.1, 0.0)
+    assert acc._live_admit_rows(floor) is not acc._live_admit_rows(floor)
+    batch = acc.begin_staging()
+    first = acc._live_admit_rows(floor)
+    assert acc._live_admit_rows(floor) is first  # cache hit
+    assert not first.flags.writeable
+    assert list(batch.admit_cache) == [floor]
+    acc.pop_staged()
+    assert acc._live_admit_rows(floor) is not first
+    assert acc.usable_blocks(floor) == [0, 1, 2, 3]
+
+
+def test_admit_cache_patched_on_stage():
+    """Staging a charge keeps the cache entry and patches exactly the
+    charged rows: a flipped bit re-derives the rows, an unflipped one
+    keeps the cached array."""
+    acc = BlockAccountant(1.0, 1e-6)
+    acc.register_blocks(range(4))
+    floor = PrivacyBudget(0.1, 0.0)
+    batch = acc.begin_staging()
+    first = acc._live_admit_rows(floor)
+    mask = batch.admit_cache[floor].mask
+    acc.stage_charge([1], PrivacyBudget(0.2, 0.0))  # still admits floor
+    assert acc._live_admit_rows(floor) is first
+    acc.stage_charge([0], PrivacyBudget(1.0, 0.0))  # exhausts block 0
+    entry = batch.admit_cache[floor]
+    assert entry.mask is mask and entry.rows is not first  # patched
+    assert not entry.rows.flags.writeable
+    assert acc._live_admit_rows(floor) is entry.rows
+    assert acc.usable_blocks(floor) == [1, 2, 3]
+    assert np.array_equal(
+        acc._live_admit_rows(floor), acc._scan_live_admit_rows(floor)
+    )
+    acc.pop_staged()
+
+
+def test_admit_cache_cleared_on_mid_batch_registration():
+    """Registering a block while the overlay is open (legal: the
+    overlay supports post-open rows) clears the cache."""
+    acc = BlockAccountant(1.0, 1e-6)
+    acc.register_blocks(["a"])
+    batch = acc.begin_staging()
+    assert acc.usable_blocks() == ["a"]
+    assert batch.admit_cache
+    acc.register_block("b")
+    assert not batch.admit_cache
+    assert acc.usable_blocks() == ["a", "b"]
+    acc.pop_staged()

@@ -3,9 +3,8 @@
 The headline property is the crash matrix: a process killed at *every*
 named crash point of the hourly drive -- before, inside, and after the
 commit point -- recovers to a state whose digest is byte-identical to an
-uninterrupted run at the recovered hour, for single-store and sharded
-accountants and for basic and pruned-Renyi composition, and then stays in
-lockstep with the clean run.  Replay goes through the live ``charge_many``
+uninterrupted run at the recovered hour, for basic and pruned-Renyi
+composition, and then stays in lockstep with the clean run.  Replay goes through the live ``charge_many``
 path (one ``request_many`` per recorded hour); a corrupt WAL record is a
 typed error naming the file and offset, never a silent replay.
 """
@@ -20,7 +19,6 @@ from repro.core import durability, faults
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.filters import RenyiCompositionFilter
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.errors import (
     DurabilityError,
     RecoveryError,
@@ -33,12 +31,7 @@ PRUNED_RENYI = lambda e, d: RenyiCompositionFilter(e, d, orders="pruned")  # noq
 
 VARIANTS = {
     "single-basic": {},
-    "sharded-basic": {"accountant_factory": sharded_accountant_factory(4)},
     "single-pruned-renyi": {"filter_factory": PRUNED_RENYI},
-    "sharded-pruned-renyi": {
-        "accountant_factory": sharded_accountant_factory(4),
-        "filter_factory": PRUNED_RENYI,
-    },
 }
 
 # Committed hours recovered relative to the crashed hour's index: points
@@ -290,7 +283,7 @@ class TestWalCompaction:
         assert hours == list(range(oldest, 8))
         sage.close()
 
-    @pytest.mark.parametrize("variant", ["single-basic", "sharded-basic"])
+    @pytest.mark.parametrize("variant", ["single-basic"])
     def test_recovery_from_compacted_wal_is_byte_identical(self, variant, tmp_path):
         digests = _clean_digests(variant, hours=10)
         sage = _build(variant, wal_dir=tmp_path, snapshot_every=2)

@@ -381,3 +381,48 @@ class TestStagedBatch:
         # ... and the authorized platform principal commits it intact.
         records = access.commit_staged(principal="alice")
         assert [r.label for r in records] == ["x"]
+
+
+class TestPlatformLifecycle:
+    def test_propose_peek_mutates_nothing(self):
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
+        entry = sage.submit(
+            OraclePipeline(name="p", n_at_eps1=3_000.0),
+            AdaptiveConfig(max_attempts=8),
+        )
+        sage.advance(1.0)
+        session = entry.session
+        state = (
+            session.status, session.epsilon, session.window_blocks,
+            len(session.attempts), session.total_spent,
+        )
+        proposal, status_after = session.propose_peek()
+        assert (
+            session.status, session.epsilon, session.window_blocks,
+            len(session.attempts), session.total_spent,
+        ) == state
+        # Peeking agrees with a real wake+propose.
+        session.wake()
+        real = session.propose()
+        if proposal is None:
+            assert real is None and session.status == status_after
+        else:
+            assert real is not None
+            assert (real.window, real.budget, real.epsilon_after) == (
+                proposal.window, proposal.budget, proposal.epsilon_after
+            )
+
+    def test_close_is_idempotent_and_platform_keeps_advancing(self):
+        sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
+        sage.advance(5.0)
+        for i in range(3):
+            sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0))
+        sage.advance(1.0)
+        sage.close()
+        sage.close()  # idempotent
+        charges = len(sage.access.accountant.charges)
+        hours = sage.hours_committed
+        sage.advance(1.0)  # a volatile platform advances after close()
+        assert sage.hours_committed == hours + 1
+        assert len(sage.access.accountant.charges) >= charges
+        sage.close()

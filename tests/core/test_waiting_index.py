@@ -15,7 +15,6 @@ import pytest
 from repro.core import faults
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 HOURS = 10
@@ -96,9 +95,8 @@ def _clean_fault_registry():
     [
         {},
         {"batched_advance": False},
-        {"accountant_factory": sharded_accountant_factory(4)},
     ],
-    ids=["batched", "sequential", "sharded"],
+    ids=["batched", "sequential"],
 )
 def test_index_matches_statuses_every_hour(kwargs):
     with _build(**kwargs) as sage:

@@ -4,7 +4,7 @@ span taxonomy of the hourly drive, and traced crash recovery.
 The headline property is PR 9's acceptance gate: attaching a
 :class:`~repro.obs.Telemetry` must leave the simulation byte-identical
 (per-hour state digests and the full protocol fingerprint) on every
-drive variant -- sequential, batched, sharded, durable.
+drive variant -- sequential, batched, durable.
 """
 
 import pytest
@@ -12,15 +12,18 @@ import pytest
 from repro.core import durability, faults
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.obs import Probe, Telemetry, WallProfiler
 from repro.obs.analyze import hour_coverage
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
+# Span categories of the documented taxonomy (see ``repro.obs``).
+TAXONOMY_PREFIXES = {
+    "advance", "session", "staging", "charge", "wal", "snapshot", "recover"
+}
+
 VARIANTS = {
     "sequential": {"batched_advance": False},
     "batched": {},
-    "sharded": {"accountant_factory": sharded_accountant_factory(4)},
 }
 
 
@@ -142,10 +145,10 @@ class TestNoOpContract:
 
 
 class TestSpanTaxonomy:
-    def test_sharded_durable_drive_emits_the_full_phase_set(self, tmp_path):
+    def test_durable_drive_emits_the_full_phase_set(self, tmp_path):
         telemetry = Telemetry()
         sage = _build(
-            "sharded", telemetry=telemetry, wal_dir=tmp_path, snapshot_every=2
+            "batched", telemetry=telemetry, wal_dir=tmp_path, snapshot_every=2
         )
         _drive(sage, 4)
         sage.close()
@@ -155,21 +158,18 @@ class TestSpanTaxonomy:
             "advance.open",
             "session.drive",
             "charge.batch",
-            "shard.validate",
-            "shard.commit",
             "staging.commit",
             "wal.append",
             "wal.fsync",
             "wal.commit",
             "snapshot.write",
         } <= names
+        assert all(n.split(".")[0] in TAXONOMY_PREFIXES for n in names)
         events = set(telemetry.tracer.event_names())
         assert {"charge.granted", "reservations.settle"} <= events
-        # Hour spans carry the mode; shard spans the shard index.
+        # Hour spans carry the mode.
         hour_spans = telemetry.tracer.find_spans("advance.hour")
         assert all(s.args["mode"] == "durable" for s in hour_spans)
-        shards = {s.args["shard"] for s in telemetry.tracer.find_spans("shard.validate")}
-        assert shards <= set(range(4)) and shards
         # WAL metrics filled alongside the spans.
         metrics = telemetry.metrics
         assert metrics.counter_value("sage_wal_bytes_total") > 0
@@ -178,7 +178,7 @@ class TestSpanTaxonomy:
 
     def test_spans_are_emitted_serially_and_nest_under_the_hour(self):
         telemetry = Telemetry()
-        sage = _build("sharded", telemetry=telemetry)
+        sage = _build("batched", telemetry=telemetry)
         _drive(sage, 3)
         sage.close()
         tracer = telemetry.tracer
@@ -245,11 +245,11 @@ class TestProfilerParity:
 
     def test_tracer_output_is_identical_with_and_without_a_profiler(self):
         traced = Telemetry()
-        sage = _build("sharded", telemetry=traced)
+        sage = _build("batched", telemetry=traced)
         _drive(sage, 4)
         sage.close()
         profiled = Telemetry(profiler=WallProfiler())
-        sage = _build("sharded", telemetry=profiled)
+        sage = _build("batched", telemetry=profiled)
         _drive(sage, 4)
         sage.close()
         assert _span_key(profiled.tracer) == _span_key(traced.tracer)
@@ -259,7 +259,7 @@ class TestProfilerParity:
 
     def test_platform_probe_tees_and_profiler_mirrors_the_taxonomy(self):
         telemetry = Telemetry(profiler=WallProfiler())
-        sage = _build("sharded", telemetry=telemetry)
+        sage = _build("batched", telemetry=telemetry)
         assert isinstance(sage._tracer, Probe)
         _drive(sage, 4)
         sage.close()
@@ -269,15 +269,6 @@ class TestProfilerParity:
             telemetry.tracer.span_names()
         )
         assert all(s.duration >= 0.0 for s in profiler.spans)
-        # ...decomposes shard validation per shard...
-        shards = {
-            s.args["shard"] for s in profiler.find_spans("shard.validate")
-        }
-        assert shards and shards <= set(range(4))
-        assert shards == {
-            s.args["shard"]
-            for s in telemetry.tracer.find_spans("shard.validate")
-        }
         # ...and explains most of each hour through child spans.
         assert hour_coverage(profiler) > 0.5
 

@@ -2,9 +2,8 @@
 
 Wall time itself is not replayable, so every test here swaps the
 ``perf_counter`` clock for a manually stepped one -- durations become
-exact and the profiler's span mechanics (nesting, back-dated
-``record_span`` emission, aggregation, the tee probe) are assertable to
-the microsecond.
+exact and the profiler's span mechanics (nesting, aggregation, the tee
+probe) are assertable to the microsecond.
 """
 
 import time
@@ -69,29 +68,6 @@ class TestSpanMechanics:
             "advance.hour",
         ]
 
-    def test_record_span_backdates_from_the_current_reading(self):
-        prof, clock = _profiler()
-        clock.now = 50.0
-        with prof.span("charge.batch"):
-            clock.now = 80.0
-            span = prof.record_span("shard.validate", 70.0, shard=1)
-            clock.now = 90.0
-        assert span.end == 80.0 and span.start == 10.0
-        assert span.duration == 70.0
-        assert span.args == {"shard": 1}
-        parent = prof.find_spans("charge.batch")[0]
-        assert span.parent_id == parent.span_id
-        # The synthesized span is appended at record time -- before the
-        # enclosing span closes, like a live child.
-        assert prof.spans[0] is span and prof.spans[1] is parent
-
-    def test_record_span_without_an_open_span_is_a_root(self):
-        prof, clock = _profiler()
-        clock.now = 25.0
-        span = prof.record_span("orphan", 10.0)
-        assert span.parent_id is None
-        assert (span.start, span.end) == (15.0, 25.0)
-
 
 class TestPercentile:
     def test_empty_is_zero(self):
@@ -119,8 +95,8 @@ class TestAggregate:
             with prof.span("session.drive"):
                 clock.now = 160.0
             clock.now = 200.0
-            prof.record_span("shard.validate", 25.0, shard=0)
-            prof.record_span("shard.validate", 35.0, shard=1)
+            with prof.span("charge.batch"):
+                clock.now = 260.0
             clock.now = 400.0
 
     def test_per_name_stats(self):
@@ -133,39 +109,14 @@ class TestAggregate:
         assert (drive.p50, drive.p95, drive.max) == (10.0, 30.0, 30.0)
         hour = stats["advance.hour"]
         assert hour.count == 1 and hour.total == 400.0
-        # self = 400 - (30 + 10 + 25 + 35) children.
+        # self = 400 - (30 + 10 + 60) children.
         assert hour.self_time == 300.0
 
-    def test_by_shard_decomposition(self):
-        prof, clock = self._setup()
-        shard_stats = prof.aggregate()["shard.validate"]
-        assert shard_stats.count == 2 and shard_stats.total == 60.0
-        assert sorted(shard_stats.by_shard) == [0, 1]
-        assert shard_stats.by_shard[0].total == 25.0
-        assert shard_stats.by_shard[1].total == 35.0
-        assert all(
-            sub.count == 1 for sub in shard_stats.by_shard.values()
-        )
-        # Unsharded names get no sub-rows.
-        assert prof.aggregate()["session.drive"].by_shard == {}
-
-    def test_pool_parallel_children_clamp_parent_self_time(self):
-        prof, clock = _profiler()
-        with prof.span("charge.batch"):
-            clock.now = 40.0
-            # Shards validated concurrently: their walls out-sum the
-            # serial parent.  Self time clamps at zero, never negative.
-            prof.record_span("shard.validate", 30.0, shard=0)
-            prof.record_span("shard.validate", 30.0, shard=1)
-        stats = prof.aggregate()
-        assert stats["charge.batch"].self_time == 0.0
-        assert stats["shard.validate"].total == 60.0
-
-    def test_render_profile_lists_shard_subrows_and_total(self):
+    def test_render_profile_lists_every_name_and_total(self):
         prof, clock = self._setup()
         text = render_profile(prof)
-        assert "advance.hour" in text
-        assert "  [shard 0]" in text and "  [shard 1]" in text
+        for name in ("advance.hour", "session.drive", "charge.batch"):
+            assert name in text
         assert "(total self time)" in text
         # Largest self time renders first (after the header).
         assert text.splitlines()[1].startswith("advance.hour")

@@ -93,6 +93,51 @@ class TestDurabilityCommands:
         assert main(["recover", "--wal-dir", str(tmp_path / "nothere")]) == 1
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"seed": 5', "not valid JSON"),
+            ("[1, 2]", "must hold a JSON object"),
+            ('{"snapshot_every": 0, "targets": []}', "lacks the 'seed' key"),
+            ('{"seed": 5, "targets": []}', "lacks the 'snapshot_every' key"),
+            ('{"seed": 5, "snapshot_every": 0}', "lacks the 'targets' key"),
+            ('{"seed": "5", "snapshot_every": 0, "targets": []}', "invalid 'seed'"),
+            ('{"seed": 5, "snapshot_every": -1, "targets": []}',
+             "invalid 'snapshot_every'"),
+            ('{"seed": 5, "snapshot_every": 0, "targets": [true]}',
+             "invalid 'targets'"),
+        ],
+        ids=[
+            "torn", "not-object", "no-seed", "no-snapshot-every", "no-targets",
+            "bad-seed", "bad-snapshot-every", "bad-targets",
+        ],
+    )
+    def test_recover_on_a_damaged_manifest_is_a_clean_error(
+        self, tmp_path, capsys, text, message
+    ):
+        assert main(["wal-demo", "--wal-dir", str(tmp_path), "--hours", "2"]) == 0
+        capsys.readouterr()
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["recover", "--wal-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and message in err
+
+    def test_recover_accepts_a_legacy_shards_key(self, tmp_path, capsys):
+        """Manifests written when the demo could shard its accountant still
+        carry ``"shards": N``; recovery ignores it and rebuilds the same
+        state on the single store."""
+        assert main(["wal-demo", "--wal-dir", str(tmp_path), "--hours", "3"]) == 0
+        ran = capsys.readouterr().out
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "shards" not in manifest
+        manifest["shards"] = 4
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["recover", "--wal-dir", str(tmp_path)]) == 0
+        recovered = capsys.readouterr().out
+        digest = next(l for l in ran.splitlines() if l.startswith("state digest"))
+        assert digest in recovered
+
 
 def load_trace(path):
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -111,13 +156,11 @@ class TestObservabilityCommands:
         assert "sage_staged_batch_requests" in report["histograms"]
 
     def test_obs_report_prometheus(self, capsys):
-        code = main(
-            ["obs-report", "--hours", "2", "--shards", "2", "--format", "prometheus"]
-        )
+        code = main(["obs-report", "--hours", "2", "--format", "prometheus"])
         assert code == 0
         out = capsys.readouterr().out
         assert "# TYPE sage_charges_granted_total counter" in out
-        assert 'sage_shard_epsilon_bound{shard="0"}' in out
+        assert 'sage_block_epsilon{block="0"}' in out
         assert 'sage_staged_batch_requests_bucket{le="+Inf"}' in out
 
     def test_obs_report_is_deterministic(self, capsys):
@@ -133,18 +176,17 @@ class TestObservabilityCommands:
         assert "3 hour(s)" in summary and str(out_path) in summary
         events = load_trace(out_path)
         names = {event["name"] for event in events}
-        # The traced demo is sharded + durable, so the full taxonomy shows up.
+        # The traced demo is durable, so the full taxonomy shows up.
         assert {
             "advance.hour",
             "session.drive",
             "charge.batch",
-            "shard.validate",
-            "shard.commit",
             "staging.commit",
             "wal.append",
             "wal.fsync",
             "snapshot.write",
         } <= names
+        assert not any(name.startswith("shard.") for name in names)
         spans = [event for event in events if event["ph"] == "X"]
         assert spans and all(event["dur"] >= 0 for event in spans)
 
@@ -193,7 +235,8 @@ class TestPerfCommands:
     def test_profile_parser_defaults(self):
         args = build_parser().parse_args(["profile"])
         assert args.command == "profile"
-        assert args.shards == 4 and args.out is None and args.flame_out is None
+        assert args.snapshot_every == 2
+        assert args.out is None and args.flame_out is None
 
     def test_perf_diff_requires_both_traces(self):
         with pytest.raises(SystemExit):
@@ -221,7 +264,7 @@ class TestPerfCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "profiled 2 hour(s) over 4 shard(s)" in out
+        assert "profiled 2 hour(s)" in out
         assert "hour coverage" in out
         assert "advance.hour" in out and "hour 0:" in out
         # The Chrome export carries the profiler's wall-clock spans.
