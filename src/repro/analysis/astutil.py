@@ -37,7 +37,6 @@ MUTATOR_METHODS = frozenset(
         "begin_staging",
         "pop_staged",
         "commit_staged",
-        "commit_staged_trusted",
         "abort_staged",
         "settle",
         "retire",

@@ -38,10 +38,7 @@ from repro.analysis.astutil import call_name, walk_calls
 __all__ = ["PairedCallsRule"]
 
 PAIRS = (
-    (
-        "begin_staging",
-        ("commit_staged", "abort_staged", "pop_staged", "commit_staged_trusted"),
-    ),
+    ("begin_staging", ("commit_staged", "abort_staged", "pop_staged")),
     ("begin_hour", ("commit_hour", "abort_hour")),
 )
 

@@ -8,7 +8,7 @@ halves, and this rule enforces both statically:
   the pure-read seeds (``propose_peek`` / ``admits_keys`` / ``can_charge``
   / ``max_epsilon``) must contain no telemetry emission.  The hazard is
   concrete: ``can_charge_many`` and ``charge_many`` share
-  ``_validate_many_vectorized``, so a span emitted there would also fire
+  ``_validate_many``, so a span emitted there would also fire
   from every ``can_charge_many`` peek -- the trace would then depend on
   how often a caller peeked, not on what the drive committed.
   Reachability reuses the purity rule's typed call graph (one build

@@ -20,19 +20,11 @@ The platform validates each session proposal as it arrives but commits the
 whole hour in one batch: ``begin_staging()`` opens the stream accountant's
 staged-batch overlay, ``stage_request(keys, budget, label)`` validates and
 stages one proposal (raising exactly what ``request`` would, staging
-nothing on refusal), and ``commit_staged()`` settles everything staged
-through a single :meth:`request_many` call.  Staging is stream-wide only:
-``supports_staged_requests`` is False when per-context accountants exist
-(their charges must validate per-request) or when the filter class forces
-the scalar accounting path.
-
-``trusted_staged_commit=True`` opts the hourly commit into the
-accountant's trusted bulk-write path: staging already performed the exact
-float accumulation ``charge_many``'s validation would replay, so the
-commit provably cannot be refused and the re-validation pass is pure
-overhead (about half the hourly accounting cost).  The resulting state is
-byte-identical either way; the flag only exists so deployments that want
-the redundant end-to-end check keep it by default.
+nothing on refusal), and ``commit_staged()`` pops the staged batch and
+settles it through a single :meth:`request_many` call -- the same call WAL
+replay lands through.  Staging is stream-wide only:
+``supports_staged_requests`` is False once a per-context accountant exists
+(context charges validate per request, not per hour).
 """
 
 from __future__ import annotations
@@ -56,7 +48,6 @@ class SageAccessControl:
         delta_global: float,
         filter_factory: Optional[Callable[[float, float], PrivacyFilter]] = None,
         authorized_principals: Optional[Sequence[str]] = None,
-        trusted_staged_commit: bool = False,
     ) -> None:
         # The stream and every context each own one BlockAccountant over
         # one LedgerStore.
@@ -68,7 +59,6 @@ class SageAccessControl:
         # Stream-level ACLs (the pre-existing, non-DP layer of Fig. 1): when
         # set, only these principals may request data at all.
         self._principals = set(authorized_principals) if authorized_principals else None
-        self.trusted_staged_commit = trusted_staged_commit
 
     # ------------------------------------------------------------------
     @property
@@ -221,9 +211,9 @@ class SageAccessControl:
     @property
     def supports_staged_requests(self) -> bool:
         """Whether the two-phase stage/commit path is exact here: it needs
-        the accountant's vectorized filter path and no per-context
-        accountants (context charges validate per-request, not per-hour)."""
-        return self._accountant.staging_supported and not self._contexts
+        no per-context accountants (context charges validate per request,
+        not per hour)."""
+        return not self._contexts
 
     @property
     def staging_active(self) -> bool:
@@ -233,8 +223,8 @@ class SageAccessControl:
         """Open an hourly staged batch on the stream accountant."""
         if not self.supports_staged_requests:
             raise AccessDeniedError(
-                "staged requests are unsupported here (custom scalar-only "
-                "filter or per-context accountants); use request() instead"
+                "staged requests are unsupported with per-context "
+                "accountants; use request() instead"
             )
         self._accountant.begin_staging()
 
@@ -261,16 +251,8 @@ class SageAccessControl:
         already passed its own principal check at stage time.  The check
         runs *before* the batch closes, so a refused principal leaves the
         overlay open instead of silently dropping the staged charges.
-
-        With ``trusted_staged_commit`` set, the commit skips
-        ``charge_many``'s redundant re-validation and bulk-writes the
-        staged effective rows instead (byte-identical state, about half
-        the accounting cost).  Staging is stream-wide only, so there is
-        never a context charge for the trusted path to skip.
         """
         self._check_principal(principal)
-        if self.trusted_staged_commit:
-            return self._accountant.commit_staged_trusted()
         requests = self._accountant.pop_staged()
         if not requests:
             return []

@@ -49,23 +49,22 @@ accountant or directly on a ledger.  Each accountant owns exactly one store:
 whole-stream scans, the staged overlay, and the platform's
 ``ReservationTable`` columns all index its rows (``rows_for_keys``).
 
-Batched-API contract: the accountant evaluates whole-stream scans
-(``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
-``retired_blocks``, ``stream_loss_bound``) through a single prototype
-filter's ``admits_batch`` / ``max_epsilon_batch`` over store rows.  This
-assumes the ``filter_factory`` is *homogeneous*: every per-block filter
-built by it must make decisions that depend only on the block's totals (as
-:class:`~repro.core.filters.BasicCompositionFilter` and
-:class:`~repro.core.filters.StrongCompositionFilter` do), not on per-filter
-mutable state.  Custom filter classes that keep the base-class
-``admits_batch`` are assumed to decide from the charge *history* instead;
-the accountant detects them and routes every scan through per-ledger
-scalar ``admits`` so enforcement stays exact (at per-ledger loop speed).
-The detection inspects overrides of ``admits`` / ``admits_batch`` /
-``max_epsilon`` / ``max_epsilon_batch`` only: a subclass that changes
-decisions through a helper those methods call (e.g. ``remaining``) must
-override the decision method (or its batch form) as well, or batched scans
-will not see the change.
+One filter contract: the accountant evaluates every admissibility decision
+-- whole-stream scans (``usable_blocks``, ``usable_blocks_tail``,
+``can_charge``, ``max_epsilon``, ``retired_blocks``, ``stream_loss_bound``),
+``charge``, ``charge_many`` validation and staged charges -- through a
+single prototype filter's ``admits_batch`` / ``max_epsilon_batch`` over
+store rows.  This assumes the ``filter_factory`` is *homogeneous*: every
+per-block filter built by it decides from the block's totals row alone (as
+every filter in :mod:`repro.core.filters` does), not from the charge
+history or per-filter mutable state.  ``BlockAccountant`` refuses, at
+construction, a filter class whose batch methods do not cover its scalar
+rules -- an ``admits`` or ``max_epsilon`` override with no batch method at
+or below it -- since batched scans would silently admit what the scalar
+rule refuses; the error names the method to override.  Only these four
+decision methods are inspected: a subclass that changes decisions through
+a helper they call (e.g. ``remaining``) must override the decision method's
+batch form as well, or batched scans will not see the change.
 
 Batched atomic multi-charge (``charge_many``)
 ---------------------------------------------
@@ -83,11 +82,9 @@ one pass.  Its contract:
   nothing is committed anywhere and the error ``charge`` would have raised
   for that request (``BlockRetiredError`` / ``BudgetExceededError``)
   propagates.
-* **Filter routing.**  Homogeneous totals-deciding filters are validated
-  with one vectorized filter pass per request over a scratch copy of the
-  touched store rows and committed with a single bulk row write; custom
-  scalar-only filter classes route through the exact per-ledger path
-  (sequential apply with snapshot rollback), at per-ledger loop speed.
+* **One pass.**  Each request is validated with one vectorized filter
+  pass over a scratch copy of the touched store rows, and the batch is
+  committed with a single bulk row write.
 
 Staged batches (the propose/settle commit path)
 -----------------------------------------------
@@ -109,18 +106,12 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
   is not persisted until the batch closes (scans still filter staged-retired
   blocks out).
 * ``pop_staged()`` closes the overlay and hands back the request list for a
-  single ``charge_many`` commit.  Because staging replayed the exact
-  accumulation ``charge_many`` validates with, a staged batch can never be
-  refused at commit time.
-* ``commit_staged_trusted()`` exploits exactly that guarantee: instead of
-  handing the requests back through ``charge_many``'s full re-validation, it
-  bulk-writes the staged effective rows (which *are* the post-batch totals,
-  byte for byte) straight into the store.  Same commit, roughly half the
-  accounting cost; the access layer gates it behind an explicit
-  ``trusted_staged_commit`` flag.
+  single ``charge_many`` commit -- the one way a batch lands, for live hours
+  and WAL replay alike.  Because staging replayed the exact accumulation
+  ``charge_many`` validates with, a staged batch can never be refused at
+  commit time.
 
-Staging requires the vectorized filter path (``staging_supported``);
-mutating the accountant through ``charge``/``charge_many`` while a batch is
+Mutating the accountant through ``charge``/``charge_many`` while a batch is
 open is an error, since the overlay could not see those writes.
 
 Overlay-scoped admit cache
@@ -144,8 +135,8 @@ mask over store rows plus that mask's row array.
   deferred under staging).  Touched rows are recomputed, never just
   cleared: filters are not assumed monotone.
 * Registering a block or rolling registrations back mid-overlay clears
-  the cache; closing the overlay (``pop_staged``, the trusted commit)
-  drops it with the overlay.
+  the cache; closing the overlay (``pop_staged``) drops it with the
+  overlay.
 
 The unstaged path (no overlay) never caches: it rescans every time and
 persists retirement as it goes, and stays the oracle the cache is tested
@@ -154,7 +145,6 @@ against.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
@@ -204,60 +194,35 @@ class ChargeRecord:
     label: str = ""
 
 
-# Per-class cache: does this filter's loss_bound accept the O(1) ``totals``
-# keyword, or is it a legacy override with the plain (history) signature?
-_LOSS_BOUND_ACCEPTS_TOTALS: Dict[type, bool] = {}
-
-
-def _loss_bound_accepts_totals(filter_obj: PrivacyFilter) -> bool:
-    cls = type(filter_obj)
-    cached = _LOSS_BOUND_ACCEPTS_TOTALS.get(cls)
-    if cached is None:
-        try:
-            params = inspect.signature(cls.loss_bound).parameters
-            cached = "totals" in params or any(
-                p.kind is p.VAR_KEYWORD for p in params.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            cached = False
-        _LOSS_BOUND_ACCEPTS_TOTALS[cls] = cached
-    return cached
-
-
 def _defining_class(cls: type, name: str) -> type:
     return next(c for c in cls.__mro__ if name in c.__dict__)
 
 
-def _scans_can_vectorize(filter_obj: PrivacyFilter) -> bool:
-    """Whether batched scans are exact for this filter class.
+def _require_batch_rules(cls: type) -> None:
+    """Refuse a filter class whose batch methods do not cover its scalar
+    rules (see the filter contract in the module docstring).
 
-    The base-class ``admits_batch`` sees an empty history, so it is only
-    valid for totals-deciding filters; and an *inherited* concrete
-    ``admits_batch`` must not shadow a subclass's overridden scalar rule
-    (the batch method has to be defined at or below wherever ``admits`` /
-    ``max_epsilon`` were last overridden).
-
-    Only these four decision methods are inspected: a subclass that changes
-    behavior through a *helper* they call (e.g. ``remaining``) without
-    overriding the decision method itself is undetectable here and must
-    override the corresponding batch method too -- see the batched-API
-    contract in the module docstring.
+    ``admits_batch`` must be defined at or below wherever ``admits`` was
+    last overridden, or an inherited batch rule shadows the scalar one.
+    The base ``max_epsilon_batch`` bisects ``admits_batch``, so it is exact
+    only while ``max_epsilon`` was not overridden below the class whose
+    ``admits_batch`` it bisects; a concrete ``max_epsilon_batch`` must sit
+    at or below the ``max_epsilon`` it mirrors.
     """
-    cls = type(filter_obj)
     batch_owner = _defining_class(cls, "admits_batch")
-    if batch_owner is PrivacyFilter:
-        return False
     if not issubclass(batch_owner, _defining_class(cls, "admits")):
-        return False
-    max_batch_owner = _defining_class(cls, "max_epsilon_batch")
-    max_owner = _defining_class(cls, "max_epsilon")
-    if max_batch_owner is PrivacyFilter:
-        # The base max_epsilon_batch bisects admits_batch; that is exact
-        # only while the scalar max_epsilon has not been overridden below
-        # the class whose admits_batch the bisection runs against.
-        return issubclass(batch_owner, max_owner)
-    # A concrete batch method must sit at or below the scalar it mirrors.
-    return issubclass(max_batch_owner, max_owner)
+        scalar, batch = "admits", "admits_batch"
+    else:
+        max_batch_owner = _defining_class(cls, "max_epsilon_batch")
+        if max_batch_owner is PrivacyFilter:
+            max_batch_owner = batch_owner
+        if issubclass(max_batch_owner, _defining_class(cls, "max_epsilon")):
+            return
+        scalar, batch = "max_epsilon", "max_epsilon_batch"
+    raise InvalidBudgetError(
+        f"filter class {cls.__name__} overrides {scalar} without a matching "
+        f"{batch}; override {batch} so batched scans apply the same rule"
+    )
 
 
 class LedgerStore:
@@ -380,9 +345,7 @@ class StagedBatch:
     -- the exact float accumulation ``charge_many``'s validation replays --
     so staging decisions and the final commit can never disagree, and reads
     through the overlay are as cheap as reads of the store itself.  The
-    per-request store rows are retained alongside the requests so a trusted
-    commit can bulk-write the effective rows without re-resolving keys.
-    The overlay also owns the live-admit scan cache (floor budget ->
+    overlay also owns the live-admit scan cache (floor budget ->
     :class:`_AdmitEntry`), which the accountant keeps exact by patching.
     """
 
@@ -390,7 +353,6 @@ class StagedBatch:
         self._eff = accountant.store.totals.copy()
         self._width = accountant.store.width
         self.requests: List[tuple] = []
-        self.request_rows: List[np.ndarray] = []
         self.admit_cache: Dict[PrivacyBudget, _AdmitEntry] = {}
 
     def __len__(self) -> int:
@@ -495,9 +457,7 @@ class BlockLedger:
 
     def loss_bound(self) -> PrivacyBudget:
         """DP guarantee covering everything charged to this block so far."""
-        if _loss_bound_accepts_totals(self.filter):
-            return self.filter.loss_bound(self.history, totals=tuple(self._totals))
-        return self.filter.loss_bound(self.history)
+        return self.filter.loss_bound(self.history, totals=tuple(self._totals))
 
     def is_retired(self, min_budget: PrivacyBudget) -> bool:
         """True when the block can no longer absorb even ``min_budget``."""
@@ -514,8 +474,9 @@ class BlockAccountant:
     filter_factory:
         Builds the per-block filter; defaults to basic composition
         (Theorem 4.3).  Pass ``StrongCompositionFilter`` for Theorem A.2
-        accounting.  Must be homogeneous (see module docstring) for the
-        vectorized scans to be exact.
+        accounting.  Must be homogeneous and its batch methods must cover
+        its scalar rules (see module docstring); a filter class that fails
+        that check raises ``InvalidBudgetError`` here.
     retirement_budget:
         Blocks that cannot absorb this charge any more count as retired;
         defaults to (epsilon_global/1000, 0).
@@ -540,17 +501,16 @@ class BlockAccountant:
         self._charges: List[ChargeRecord] = []
         # The prototype filter that evaluates the whole matrix in one pass
         # (all per-block filters share its params) + the struct-of-arrays
-        # totals store sized to the filter's declared schema width.
+        # totals store sized to the filter's declared schema width.  A
+        # class factory is checked before it is called, so an abstract
+        # admits_batch is refused by name rather than by a TypeError.
+        if isinstance(filter_factory, type):
+            _require_batch_rules(filter_factory)
         self._batch_filter = filter_factory(epsilon_global, delta_global)
+        _require_batch_rules(type(self._batch_filter))
         self._store = LedgerStore(
             width=getattr(self._batch_filter, "totals_width", TOTALS_BASE)
         )
-        # A filter whose batch methods are missing or shadowed by scalar
-        # overrides (e.g. it decides from the charge history, or a subclass
-        # tightened admits without re-deriving admits_batch) must scan
-        # through per-ledger scalar admits, or batched scans would silently
-        # admit what the scalar rule refuses.
-        self._vectorized = _scans_can_vectorize(self._batch_filter)
         self._keys: List[object] = []
         self._rows: Dict[object, int] = {}
         # Memoized key-tuple -> row-array translations (rows never move, so
@@ -678,13 +638,6 @@ class BlockAccountant:
     # Staged batches (validate now, commit the hour in one charge_many)
     # ------------------------------------------------------------------
     @property
-    def staging_supported(self) -> bool:
-        """Staging needs the vectorized filter path: the overlay replays
-        batched filter decisions over effective totals, which a custom
-        scalar-only (history-deciding) filter cannot reproduce."""
-        return self._vectorized
-
-    @property
     def staging_active(self) -> bool:
         return self._staged is not None
 
@@ -694,9 +647,9 @@ class BlockAccountant:
         (empty when no batch is open).
 
         This is what the durability layer writes ahead: the exact batch the
-        closing ``charge_many``/trusted commit will land, captured *before*
-        the commit so a crash between WAL append and commit replays the
-        identical requests.
+        closing ``charge_many`` will land, captured *before* the commit so
+        a crash between WAL append and commit replays the identical
+        requests.
         """
         if self._staged is None:
             return []
@@ -716,11 +669,6 @@ class BlockAccountant:
         """
         if self._staged is not None:
             raise InvalidBudgetError("a staged batch is already open")
-        if not self._vectorized:
-            raise InvalidBudgetError(
-                "staging requires a homogeneous totals-deciding filter; "
-                "this accountant's filter routes through the scalar path"
-            )
         self._staged = StagedBatch(self)
         return self._staged
 
@@ -761,7 +709,6 @@ class BlockAccountant:
             self._raise_refusal(keys[pos], budget, retired)
         self._staged.add(rows, self._contribution(budget))
         self._staged.requests.append((keys, budget, label))
-        self._staged.request_rows.append(rows)
         self._patch_admit_cache(rows)
 
     def _patch_admit_cache(self, rows: np.ndarray) -> None:
@@ -808,12 +755,6 @@ class BlockAccountant:
         """Per-key admit decisions in one batched filter pass."""
         if not keys:
             return np.zeros(0, dtype=bool)
-        if not self._vectorized:
-            return np.fromiter(
-                (self.ledger(k).admits(budget) for k in keys),
-                dtype=bool,
-                count=len(keys),
-            )
         rows = self._key_rows(keys)
         return self._batch_filter.admits_batch(self._totals_view()[rows], budget)
 
@@ -840,16 +781,10 @@ class BlockAccountant:
         admitted = self.admits_keys(keys, budget)
         if not admitted.all():
             key = keys[int(np.argmin(admitted))]  # first refusing block
-            if self._ledgers[key].is_retired(self.retirement_budget):
-                raise BlockRetiredError(f"block {key!r} is retired", block_id=key)
-            raise BudgetExceededError(
-                f"block {key!r} cannot absorb {budget}", block_id=key
-            )
-        # Homogeneous filters share one contribution vector across the
-        # charge's blocks; custom (scalar-path) filters compute per ledger,
-        # since only homogeneity guarantees the prototype's increment is
-        # every ledger's increment.
-        contribution = self._contribution(budget) if self._vectorized else None
+            retired = self._ledgers[key].is_retired(self.retirement_budget)
+            self._raise_refusal(key, budget, retired)
+        # Homogeneous filters: one contribution vector serves every block.
+        contribution = self._contribution(budget)
         for key in keys:
             self._ledgers[key].record(budget, contribution)
         record = ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
@@ -891,7 +826,7 @@ class BlockAccountant:
             f"block {key!r} cannot absorb {budget}", block_id=key
         )
 
-    def _validate_many_vectorized(self, norm: List[tuple]):
+    def _validate_many(self, norm: List[tuple]):
         """Vectorized all-requests admissibility check with intra-batch
         accumulation.
 
@@ -926,46 +861,6 @@ class BlockAccountant:
             counts_delta[lrows] += 1
         return touched, work, counts_delta
 
-    def _apply_many_scalar(self, norm: List[tuple], commit: bool) -> List[ChargeRecord]:
-        """Per-ledger sequential apply with full rollback -- the exact path
-        for filters whose decisions batched scans cannot reproduce."""
-        # dict.fromkeys, not a set: ledger creation and snapshot/rollback
-        # order must be first-touch deterministic run to run.
-        touched_keys = dict.fromkeys(key for keys, _, _ in norm for key in keys)
-        ledgers = {key: self.ledger(key) for key in touched_keys}
-        snapshot = {
-            key: (len(led.history), list(led._totals))
-            for key, led in ledgers.items()
-        }
-
-        def rollback() -> None:
-            for key, (n_history, totals) in snapshot.items():
-                led = ledgers[key]
-                del led.history[n_history:]
-                led._totals = totals
-                self._store.write_row(led._row, totals, n_history)
-
-        records = []
-        try:
-            for keys, budget, label in norm:
-                for key in keys:
-                    if not ledgers[key].admits(budget):
-                        retired = ledgers[key].is_retired(self.retirement_budget)
-                        self._raise_refusal(key, budget, retired)
-                for key in keys:
-                    ledgers[key].record(budget)
-                records.append(
-                    ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
-                )
-        except Exception:
-            rollback()
-            raise
-        if not commit:
-            rollback()
-            return records
-        self._charges.extend(records)
-        return records
-
     def charge_many(self, requests) -> List[ChargeRecord]:
         """Atomically commit a whole batch of ``(keys, budget[, label])`` charges.
 
@@ -977,78 +872,40 @@ class BlockAccountant:
         ledger, the totals store, and the charge log untouched, and raises
         the error :meth:`charge` would have raised for that request.
 
-        For homogeneous totals-deciding filters the whole batch is validated
-        in one vectorized pass over the ledger store and committed with a
-        single bulk row write; custom scalar-only filter classes route
-        through the exact per-ledger path (apply + rollback).
+        The whole batch is validated in one vectorized pass over the ledger
+        store and committed with a single bulk row write.  This is the one
+        commit path: live staged hours (``pop_staged``) and WAL replay both
+        land through it.
         """
         self._forbid_staging("charge_many")
         norm = self._normalize_requests(requests)
         if not norm:
             return []
-        if not self._vectorized:
-            return self._apply_many_scalar(norm, commit=True)
         with (
             self._tracer.span("charge.batch", requests=len(norm))
             if self._tracer is not None
             else nullcontext()
         ):
-            touched, work, counts_delta = self._validate_many_vectorized(norm)
+            touched, work, counts_delta = self._validate_many(norm)
             # Crash point between validation and the bulk commit: the
             # batch is proven admissible, nothing has been written.
             faults.trip("charge.between_validate_and_commit")
-            return self._commit_validated(norm, touched, work, counts_delta)
-
-    def _commit_validated(
-        self,
-        norm: List[tuple],
-        touched: np.ndarray,
-        work: np.ndarray,
-        counts_delta: np.ndarray,
-    ) -> List[ChargeRecord]:
-        """Land a validated batch: bulk store-row write, history append,
-        ledger-totals sync, charge log.  ``work`` must hold the touched
-        rows' exact post-batch totals (``charge_many``'s scratch or a
-        staged batch's effective rows -- the two are byte-identical by
-        construction)."""
-        ledgers = self._ledgers
-        records = []
-        for keys, budget, label in norm:
-            for key in keys:
-                ledgers[key].history.append(budget)
-            records.append(
-                ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
+            ledgers = self._ledgers
+            records = []
+            for keys, budget, label in norm:
+                for key in keys:
+                    ledgers[key].history.append(budget)
+                records.append(
+                    ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
+                )
+            self._store.write_rows(
+                touched, work, self._store.charge_counts[touched] + counts_delta
             )
-        self._store.write_rows(
-            touched, work, self._store.charge_counts[touched] + counts_delta
-        )
-        block_keys = self._keys
-        for row, totals in zip(touched.tolist(), work.tolist()):
-            ledgers[block_keys[row]]._totals = totals
-        self._charges.extend(records)
-        return records
-
-    def commit_staged_trusted(self) -> List[ChargeRecord]:
-        """Close the staged batch and commit it *without* re-validation.
-
-        Staging already performed the exact accumulation ``charge_many``'s
-        validation would replay (same starting rows, same contribution
-        vectors, same order), so the overlay's effective rows for the
-        touched blocks *are* the post-batch totals byte for byte and the
-        batch provably cannot be refused -- this path just bulk-writes them.
-        The access layer keeps it behind an explicit opt-in flag; the
-        byte-parity against the validating path is pinned by tests.
-        """
-        staged, self._staged = self._staged, None
-        if staged is None or not staged.requests:
-            return []
-        rows_concat = np.concatenate(staged.request_rows)
-        counts = np.bincount(rows_concat, minlength=len(self._store))
-        touched = np.flatnonzero(counts)
-        work = staged.effective_totals(len(self._store))[touched]
-        return self._commit_validated(
-            staged.requests, touched, work, counts[touched]
-        )
+            block_keys = self._keys
+            for row, totals in zip(touched.tolist(), work.tolist()):
+                ledgers[block_keys[row]]._totals = totals
+            self._charges.extend(records)
+            return records
 
     def can_charge_many(self, requests) -> bool:
         """True iff :meth:`charge_many` would commit the whole batch.
@@ -1061,10 +918,7 @@ class BlockAccountant:
         if not norm:
             return True
         try:
-            if not self._vectorized:
-                self._apply_many_scalar(norm, commit=False)
-            else:
-                self._validate_many_vectorized(norm)
+            self._validate_many(norm)
         except (BudgetExceededError, BlockRetiredError):
             return False
         return True
@@ -1186,8 +1040,6 @@ class BlockAccountant:
         """Largest epsilon chargeable to *all* named blocks at once."""
         if not keys:
             return 0.0
-        if not self._vectorized:
-            return min(self.ledger(k).max_epsilon(delta) for k in keys)
         rows = self._key_rows(keys)
         return float(
             self._batch_filter.max_epsilon_batch(self._totals_view()[rows], delta)
@@ -1226,19 +1078,9 @@ class BlockAccountant:
         live_rows = np.nonzero(self._store.live)[0]
         if live_rows.size == 0:
             return live_rows
-        if not self._vectorized:
-            alive = np.fromiter(
-                (
-                    not self._ledgers[self._keys[i]].is_retired(self.retirement_budget)
-                    for i in live_rows
-                ),
-                dtype=bool,
-                count=live_rows.size,
-            )
-        else:
-            alive = self._batch_filter.admits_batch(
-                self._totals_view()[live_rows], self.retirement_budget
-            )
+        alive = self._batch_filter.admits_batch(
+            self._totals_view()[live_rows], self.retirement_budget
+        )
         if not alive.all():
             retired_rows = live_rows[~alive]
             # Retirement is persisted only from *committed* totals: while a
@@ -1253,16 +1095,9 @@ class BlockAccountant:
                 self._dead.update(self._keys[i] for i in retired_rows)
             live_rows = live_rows[alive]
         if floor != self.retirement_budget:
-            if not self._vectorized:
-                admitted = np.fromiter(
-                    (self._ledgers[self._keys[i]].admits(floor) for i in live_rows),
-                    dtype=bool,
-                    count=live_rows.size,
-                )
-            else:
-                admitted = self._batch_filter.admits_batch(
-                    self._totals_view()[live_rows], floor
-                )
+            admitted = self._batch_filter.admits_batch(
+                self._totals_view()[live_rows], floor
+            )
             live_rows = live_rows[admitted]
         return live_rows
 
@@ -1288,37 +1123,6 @@ class BlockAccountant:
         if count <= 0:
             return []
         floor = min_budget or self.retirement_budget
-        if not self._vectorized:
-            # Scalar-filter fallback keeps the seed's early-stopping tail
-            # walk: O(count) ledger evaluations, not O(n_live).
-            out = []
-            live = self._store.live
-            for i in range(len(self._store) - 1, -1, -1):
-                if not live[i]:
-                    continue
-                key = self._keys[i]
-                led = self._ledgers[key]
-                if led.is_retired(self.retirement_budget):
-                    # repro: allow(purity) -- deferred retirement (scalar
-                    # tail walk); same idempotent persistence as the
-                    # vectorized scan above.
-                    self._store.retire(i)
-                    # repro: allow(purity) -- see above
-                    self._dead.add(key)
-                    continue
-                if not led.admits(floor):
-                    continue
-                if row_filter is not None and not bool(
-                    np.asarray(row_filter(np.array([i], dtype=np.intp)))[0]
-                ):
-                    continue
-                if key_filter is not None and not key_filter(key):
-                    continue
-                out.append(key)
-                if len(out) == count:
-                    break
-            out.reverse()
-            return out
         rows = self._live_admit_rows(floor)
         if row_filter is not None and rows.size:
             rows = rows[np.asarray(row_filter(rows), dtype=bool)]
@@ -1374,7 +1178,7 @@ class BlockAccountant:
             delta = float(np.minimum(1.0, f.delta_slack + totals[:, TOT_DELTA]).max())
             return PrivacyBudget(eps, delta)
         loss_bound_batch = getattr(self._batch_filter, "loss_bound_batch", None)
-        if self._vectorized and loss_bound_batch is not None:
+        if loss_bound_batch is not None:
             # Filters with a vectorized per-row bound (e.g. the Renyi
             # filter's converted-RDP curve): one pass over charged rows.
             charged = counts > 0

@@ -21,8 +21,8 @@ matching the paper's two composition analyses:
   Canonne-Kamath-Steinke bound.  Tightest of the three for the
   many-small-charges workloads DP-SGD produces.
 
-Filters are pure decision logic over a charge history; the ledger/accountant
-layer owns the history itself.
+Filters are pure decision logic over a block's running totals; the
+ledger/accountant layer owns the charge history and the totals rows.
 
 Batched evaluation and the pluggable totals schema
 --------------------------------------------------
@@ -49,10 +49,11 @@ vectorized arithmetic mirrors the scalar operation order exactly).
 ``max_epsilon`` restricted to the conjunction over rows: the largest epsilon
 every row still admits at the given delta.
 
-The batch contract only holds for filters whose decisions are a pure
-function of the totals row; the accountant detects filters that keep the
-base-class ``admits_batch`` and routes their scans through per-ledger
-scalar ``admits`` (with the real history) instead.
+This is the only filter contract: every decision is a pure function of the
+totals row, ``admits_batch`` is abstract, and the accountant refuses at
+construction a filter class whose batch methods do not cover its scalar
+``admits`` / ``max_epsilon`` overrides (the error names the method to
+override).
 
 Tolerances: every admissibility comparison carries slack so that charging
 eps_g/k exactly k times is never rejected on the final charge by float
@@ -188,21 +189,11 @@ class PrivacyFilter(abc.ABC):
         history, making the check O(1).
         """
 
+    @abc.abstractmethod
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
-        """Vectorized :meth:`admits` over an (n, 4) array of totals rows.
-
-        Subclasses override with a true NumPy pass.  This fallback loops the
-        scalar rule with an *empty history*, so it is only valid for filters
-        that decide from ``totals`` alone; the accountant detects filters
-        that keep this base implementation and uses per-ledger scalar
-        ``admits`` (with the real history) for them instead.
-        """
-        matrix = _as_totals_matrix(totals, self.totals_width)
-        return np.fromiter(
-            (self.admits((), candidate, totals=tuple(row)) for row in matrix),
-            dtype=bool,
-            count=matrix.shape[0],
-        )
+        """Vectorized :meth:`admits` over an ``(n, totals_width)`` array of
+        totals rows: ``admits_batch(totals, c)[i]`` must equal
+        ``admits(history_i, c, totals=tuple(totals[i]))`` for every row."""
 
     @abc.abstractmethod
     def max_epsilon(self, history: Sequence[PrivacyBudget], delta: float) -> float:

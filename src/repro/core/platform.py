@@ -43,9 +43,9 @@ scans are served from the overlay's per-floor admit cache, which
 a standing backlog of waiting sessions rescans the stream only once per
 distinct floor budget.
 
-Streams whose accountant cannot vectorize (custom scalar-only filters, or
-``batched_advance=False``) fall back to the same propose/complete drive
-with immediate per-proposal ``request`` execution -- trajectories are
+``batched_advance=False``, or an access layer with per-context policies
+(whose charges validate per request), drives the same propose/complete
+loop with immediate per-proposal ``request`` execution -- trajectories are
 float-identical either way; only the commit granularity changes.
 
 Reservation table
@@ -324,10 +324,9 @@ class Sage:
     default) stages every session proposal and settles the hour through one
     ``request_many`` batch; False executes each proposal immediately (the
     sequential reference path -- same trajectories, per-proposal commits).
-    Streams whose accountant cannot vectorize fall back to sequential
-    regardless.  ``trusted_staged_commit`` additionally opts the batched
-    hour into the accountant's no-revalidation bulk commit (byte-identical
-    state, roughly half the hourly accounting cost).
+    An access layer with per-context policies drives per-proposal
+    ``request`` calls regardless, since context charges validate per
+    request.
 
     ``wal_dir`` turns on the durable drive (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
@@ -337,9 +336,9 @@ class Sage:
     in-memory platform back to its exact pre-hour accounting state.  A
     platform constructed over a WAL directory holding prior state must
     call :meth:`recover` before advancing.  Durable mode requires the
-    staged hourly drive (``batched_advance`` with a staging-capable
-    accountant and no per-context policies): the WAL records each hour as
-    one request batch, which only the staged path produces.
+    staged hourly drive (``batched_advance`` and no per-context
+    policies): the WAL records each hour as one request batch, which only
+    the staged path produces.
 
     ``telemetry`` attaches a :class:`repro.obs.Telemetry` (tracer +
     metrics registry) to the whole deployment: every phase of the hourly
@@ -361,7 +360,6 @@ class Sage:
         filter_factory=None,
         seed: Optional[int] = None,
         batched_advance: bool = True,
-        trusted_staged_commit: bool = False,
         wal_dir=None,
         snapshot_every: int = 0,
         snapshot_keep: int = 3,
@@ -392,10 +390,7 @@ class Sage:
             rng=self.rng,
         )
         self.access = SageAccessControl(
-            epsilon_global,
-            delta_global,
-            filter_factory=filter_factory,
-            trusted_staged_commit=trusted_staged_commit,
+            epsilon_global, delta_global, filter_factory=filter_factory
         )
         self.store = ModelFeatureStore()
         self.epsilon_global = epsilon_global
@@ -432,8 +427,7 @@ class Sage:
             if not (batched_advance and self.access.supports_staged_requests):
                 raise DurabilityError(
                     "durable mode (wal_dir) requires the staged hourly drive: "
-                    "batched_advance with a staging-capable accountant and no "
-                    "per-context policies"
+                    "batched_advance and no per-context policies"
                 )
             self._snapshots = durability.SnapshotStore(
                 self._wal_dir, keep=snapshot_keep, telemetry=telemetry
@@ -565,15 +559,6 @@ class Sage:
         attempts cannot overdraw the reservation."""
         self._settle_charges(entry)
         return self._table.values(entry.table_row, rows)
-
-    def _reservation_limit(self, entry: SubmittedPipeline, window) -> float:
-        """The epsilon this pipeline may spend on that window: the smallest
-        reservation it holds across the window's blocks."""
-        self._settle_charges(entry)
-        if not window:
-            return 0.0
-        rows = self.access.accountant.rows_for_keys(window)
-        return self._table.limit(entry.table_row, rows)
 
     def _allocate_block(self, key: object) -> None:
         """Divide a new block's budget evenly among waiting pipelines."""
@@ -853,7 +838,7 @@ class Sage:
         if not (self.batched_advance and self.access.supports_staged_requests):
             raise DurabilityError(
                 "durable advance requires the staged hourly drive (no "
-                "per-context policies, staging-capable accountant)"
+                "per-context policies)"
             )
         wal = self._ensure_wal()
         txn = self._capture_hour()
@@ -1217,9 +1202,7 @@ class Sage:
             session.total_spent = delta["total_spent"]
             entry.settled_attempts = delta["settled_attempts"]
             entry.release_time_hours = delta["release_time_hours"]
-            if session.status == SessionStatus.ACCEPTED:
-                self._redistribute(entry)
-            elif session.is_terminal:
+            if session.is_terminal:
                 self._redistribute(entry)
         if record["requests"]:
             self.access.request_many(record["requests"])

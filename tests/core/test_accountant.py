@@ -1,5 +1,7 @@
 """BlockAccountant: atomic charges, retirement, the stream-wide bound."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from repro.core.filters import (
     PrivacyFilter,
     StrongCompositionFilter,
 )
+from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.errors import BlockRetiredError, BudgetExceededError, InvalidBudgetError
+from repro.workload.oracle import CountStreamSource
 
 
 @pytest.fixture
@@ -282,94 +286,6 @@ class TestBatchedScansMatchScalar:
         ]
         assert acc.usable_blocks(floor) == expected
 
-    def test_history_based_custom_filter_still_enforced(self):
-        """A custom filter that keeps the base-class admits_batch decides
-        from the real charge history: batched scans must not hand it an
-        empty history (which would silently admit everything)."""
-
-        class AtMostThreeCharges(PrivacyFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 3
-
-            def max_epsilon(self, history, delta):
-                return self.epsilon_global if len(history) < 3 else 0.0
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostThreeCharges)
-        acc.register_blocks([0, 1])
-        for _ in range(3):
-            acc.charge([0], PrivacyBudget(0.01, 0.0))
-        assert not acc.can_charge([0], PrivacyBudget(0.01, 0.0))
-        assert acc.can_charge([1], PrivacyBudget(0.01, 0.0))
-        assert acc.usable_blocks() == [1]
-        assert acc.retired_blocks() == [0]
-        assert acc.max_epsilon([0]) == 0.0
-        with pytest.raises(BlockRetiredError):
-            acc.charge([0], PrivacyBudget(0.01, 0.0))
-
-    def test_subclass_overriding_admits_only_still_enforced(self):
-        """A subclass that tightens the scalar admits rule but inherits a
-        concrete admits_batch must not be scanned through the inherited
-        batch path (it would silently admit what the override refuses)."""
-
-        class AtMostTwoCharges(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 2 and super().admits(
-                    history, candidate, totals=totals
-                )
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostTwoCharges)
-        acc.register_blocks([0, 1])
-        acc.charge([0], PrivacyBudget(0.1, 0.0))
-        acc.charge([0], PrivacyBudget(0.1, 0.0))
-        assert not acc.can_charge([0], PrivacyBudget(0.1, 0.0))
-        with pytest.raises(BlockRetiredError):
-            acc.charge([0], PrivacyBudget(0.1, 0.0))
-        assert acc.usable_blocks() == [1]
-
-    def test_subclass_overriding_max_epsilon_only_still_enforced(self):
-        """Tightening only the scalar max_epsilon must force the scalar
-        scan path too -- the base batch bisection would ignore the cap."""
-
-        class CappedMax(StrongCompositionFilter):
-            def max_epsilon(self, history, delta):
-                return min(0.05, super().max_epsilon(history, delta))
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=CappedMax)
-        acc.register_blocks([0])
-        assert acc.max_epsilon([0]) == pytest.approx(0.05)
-        assert acc.max_epsilon([0]) == acc.ledger(0).max_epsilon(0.0)
-
-    def test_legacy_loss_bound_signature_supported(self):
-        """Custom filters overriding loss_bound with the pre-refactor
-        (self, history) signature must keep working (no totals kwarg)."""
-
-        class LegacyFilter(BasicCompositionFilter):
-            def loss_bound(self, history):
-                return PrivacyBudget(2.0 * sum(b.epsilon for b in history), 0.0)
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=LegacyFilter)
-        acc.register_blocks([0])
-        acc.charge([0], PrivacyBudget(0.2, 0.0))
-        assert acc.ledger(0).loss_bound().epsilon == pytest.approx(0.4)
-        assert acc.stream_loss_bound().epsilon == pytest.approx(0.4)
-
-    def test_custom_filter_tail_scan(self):
-        class AtMostOne(PrivacyFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 1
-
-            def max_epsilon(self, history, delta):
-                return self.epsilon_global if not history else 0.0
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostOne)
-        acc.register_blocks(range(6))
-        acc.charge([4, 5], PrivacyBudget(0.1, 0.0))
-        tail = acc.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 3)
-        assert tail == [1, 2, 3]
-        assert acc.usable_blocks_tail(
-            PrivacyBudget(0.1, 0.0), 2, key_filter=lambda k: k % 2 == 0
-        ) == [0, 2]
-
     def test_max_epsilon_matches_scalar_min(self):
         for factory in (BasicCompositionFilter, StrongCompositionFilter):
             acc = BlockAccountant(1.0, 1e-6, filter_factory=factory)
@@ -379,6 +295,69 @@ class TestBatchedScansMatchScalar:
             keys = [0, 2, 4]
             scalar = min(acc.ledger(k).max_epsilon(0.0) for k in keys)
             assert acc.max_epsilon(keys, 0.0) == pytest.approx(scalar, abs=1e-9)
+
+
+class AtMostThreeCharges(PrivacyFilter):
+    """Decides from the charge history and has no batch rule at all."""
+
+    def admits(self, history, candidate, totals=None):
+        return len(history) < 3
+
+    def max_epsilon(self, history, delta):
+        return self.epsilon_global if len(history) < 3 else 0.0
+
+
+class AtMostTwoCharges(BasicCompositionFilter):
+    """Tightens the scalar ``admits``; the inherited batch rule does not."""
+
+    def admits(self, history, candidate, totals=None):
+        return len(history) < 2 and super().admits(history, candidate, totals=totals)
+
+
+class CappedMax(StrongCompositionFilter):
+    """Caps the scalar ``max_epsilon``; the inherited bisection does not."""
+
+    def max_epsilon(self, history, delta):
+        return min(0.05, super().max_epsilon(history, delta))
+
+
+@pytest.mark.parametrize(
+    "filter_cls, missing",
+    [
+        (AtMostThreeCharges, "admits_batch"),
+        (AtMostTwoCharges, "admits_batch"),
+        (CappedMax, "max_epsilon_batch"),
+    ],
+    ids=["AtMostThreeCharges", "AtMostTwoCharges", "CappedMax"],
+)
+def test_filter_whose_batch_rule_misses_a_scalar_override_is_refused(
+    filter_cls, missing
+):
+    """Every decision goes through the batch methods, so a filter whose
+    batch rule would silently admit what its scalar rule refuses is never
+    used: the accountant, and every layer built on it, refuses the class
+    at construction and names the method to override."""
+    with pytest.raises(InvalidBudgetError, match=f"override {missing}"):
+        BlockAccountant(1.0, 1e-6, filter_factory=filter_cls)
+    with pytest.raises(InvalidBudgetError, match=f"override {missing}"):
+        Sage(CountStreamSource(100, scale=100), filter_factory=filter_cls)
+    if inspect.isabstract(filter_cls):
+        return  # no admits_batch: nothing could scan with it
+    # A non-class factory is checked through the filter it builds.
+    with pytest.raises(InvalidBudgetError, match=f"override {missing}"):
+        BlockAccountant(1.0, 1e-6, filter_factory=lambda e, d: filter_cls(e, d))
+    # What the refusal prevents: over the same totals row, the batch rule
+    # is looser than the scalar override.
+    filt = filter_cls(1.0, 1e-6)
+    ledger = BlockLedger(key=0, filter=filt)
+    for _ in range(2):
+        ledger.record(PrivacyBudget(0.1, 0.0))
+    row = np.array([ledger.totals])
+    probe = PrivacyBudget(0.1, 0.0)
+    if missing == "admits_batch":
+        assert not ledger.admits(probe) and filt.admits_batch(row, probe)[0]
+    else:
+        assert filt.max_epsilon_batch(row, 0.0) > ledger.max_epsilon(0.0)
 
 
 def _store_state(acc):
@@ -466,32 +445,6 @@ class TestChargeMany:
         empty = accountant.charge_many([])
         assert empty == []
         assert accountant.can_charge_many([])
-
-    def test_scalar_filter_routes_through_per_ledger_path(self):
-        """Custom history-deciding filters must get exact sequential
-        semantics (apply + rollback), not the vectorized pass."""
-
-        class AtMostThreeCharges(PrivacyFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 3
-
-            def max_epsilon(self, history, delta):
-                return self.epsilon_global if len(history) < 3 else 0.0
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostThreeCharges)
-        acc.register_blocks([0, 1])
-        budget = PrivacyBudget(0.01, 0.0)
-        acc.charge_many([([0], budget), ([0, 1], budget)])
-        assert len(acc.ledger(0).history) == 2
-        before = _store_state(acc)
-        # Third request pushes block 0 to its 4th charge mid-batch: refused,
-        # and the first two requests of the batch roll back too.
-        with pytest.raises(BlockRetiredError):
-            acc.charge_many([([0], budget), ([1], budget), ([0, 1], budget)])
-        _assert_store_equal(_store_state(acc), before)
-        assert not acc.can_charge_many([([0], budget), ([0], budget)])
-        assert acc.can_charge_many([([0], budget), ([1], budget)])
-        _assert_store_equal(_store_state(acc), before)  # can-check is pure
 
     @given(
         st.lists(

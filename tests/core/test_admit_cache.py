@@ -83,7 +83,7 @@ OPS = st.one_of(
     st.tuples(st.just("register")),
     st.tuples(st.just("rollback")),
     st.tuples(st.just("open")),
-    st.tuples(st.just("close"), st.sampled_from(["pop", "abort", "trusted"])),
+    st.tuples(st.just("close"), st.sampled_from(["pop", "abort"])),
 )
 
 
@@ -124,8 +124,11 @@ def drive(acc, ops):
             # Roll back this overlay's registrations, as the durable hour
             # does before aborting -- only when no staged charge names them.
             if acc.staging_active and len(acc.block_keys) > opened_at:
-                staged_rows = acc._staged.request_rows
-                if all(int(r.max()) < opened_at for r in staged_rows):
+                staged = acc.staged_requests
+                if all(
+                    int(acc.rows_for_keys(keys).max()) < opened_at
+                    for keys, _, _ in staged
+                ):
                     acc.rollback_registrations(opened_at)
         elif kind == "open":
             if not acc.staging_active:
@@ -133,12 +136,9 @@ def drive(acc, ops):
                 opened_at = len(acc.block_keys)
         elif kind == "close":
             if acc.staging_active:
-                if op[1] == "trusted":
-                    acc.commit_staged_trusted()
-                else:
-                    requests = acc.pop_staged()
-                    if op[1] == "pop" and requests:
-                        acc.charge_many(requests)
+                requests = acc.pop_staged()
+                if op[1] == "pop" and requests:
+                    acc.charge_many(requests)
         assert_cache_exact(acc)
     if acc.staging_active:
         acc.pop_staged()
@@ -162,7 +162,7 @@ def test_committed_state_matches_uncached_drive(filter_name):
                     int(rng.integers(len(CHARGES)))))
         ops.append(("scan", int(rng.integers(len(FLOORS)))))
         if rng.random() < 0.15:
-            ops.append(("close", "trusted"))
+            ops.append(("close", "pop"))
             ops.append(("open",))
     cached = make_accountant(filter_name)
     drive(cached, ops)

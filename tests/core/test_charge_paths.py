@@ -1,13 +1,12 @@
 """Every charge path over the one ledger store lands the same state.
 
-A batch of charges reaches a :class:`BlockAccountant` four ways:
+A batch of charges reaches a :class:`BlockAccountant` three ways:
 sequential :meth:`~BlockAccountant.charge` calls, one validating
-:meth:`~BlockAccountant.charge_many`, a staged hour (``stage_charge`` per
-request, then ``pop_staged`` into ``charge_many``), and the trusted
-bulk write :meth:`~BlockAccountant.commit_staged_trusted`.  The sequential
+:meth:`~BlockAccountant.charge_many`, and a staged hour (``stage_charge``
+per request, then ``pop_staged`` into ``charge_many``).  The sequential
 path is the reference; the properties here:
 
-* all four paths leave byte-identical committed state (store rows, live
+* all three paths leave byte-identical committed state (store rows, live
   mask, charge counts, ledger histories and totals, the charge log, and
   the exported snapshot), for basic, strong and Renyi filters and for
   Renyi-curve (Gaussian) budgets;
@@ -18,8 +17,6 @@ path is the reference; the properties here:
 * a refused ``charge_many`` -- wherever the refusing request sits --
   leaves everything untouched and raises the error the sequential path
   raises first;
-* the per-ledger scalar path for custom filters agrees with the
-  vectorized one;
 * store-level row writes, retirement and truncation, and the aggregate
   reads (``loss_dashboard``, ``stream_loss_bound``, ``retired_blocks``).
 """
@@ -34,18 +31,13 @@ from repro.core.accountant import (
     BlockAccountant,
     LedgerStore,
 )
-from repro.core.filters import (
-    BasicCompositionFilter,
-    RenyiCompositionFilter,
-    StrongCompositionFilter,
-)
+from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
 from repro.core.odometer import StrongOdometer, loss_dashboard
 from repro.dp.budget import PrivacyBudget
 from repro.dp.rdp import gaussian_mechanism_budget
 from repro.errors import (
     BlockRetiredError,
     BudgetExceededError,
-    InvalidBudgetError,
     RecoveryError,
 )
 
@@ -122,17 +114,14 @@ def land(acc, path, requests):
     acc.begin_staging()
     for keys, budget, label in requests:
         acc.stage_charge(keys, budget, label)
-    if path == "staged":
-        acc.charge_many(acc.pop_staged())
-    else:
-        acc.commit_staged_trusted()
+    acc.charge_many(acc.pop_staged())
     assert not acc.staging_active
 
 
 # ----------------------------------------------------------------------
 # Committed state: every batch path equals the sequential reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("path", ["charge_many", "staged", "trusted"])
+@pytest.mark.parametrize("path", ["charge_many", "staged"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("filter_name", sorted(FILTERS))
 def test_batch_path_matches_sequential_charges(filter_name, seed, path):
@@ -319,47 +308,6 @@ def test_refusal_error_matches_sequential(retire_first, filter_name):
     expected = BlockRetiredError if retire_first else BudgetExceededError
     assert type(batch_exc.value) is expected
     assert batch_exc.value.block_id == (7 if retire_first else 4)
-
-
-# ----------------------------------------------------------------------
-# The per-ledger scalar path for custom filters
-# ----------------------------------------------------------------------
-class ScalarOnlyFilter(BasicCompositionFilter):
-    """Overrides the scalar decision only, so the accountant routes it
-    through the exact per-ledger path."""
-
-    def admits(self, history, candidate, totals=None):
-        return super().admits(history, candidate, totals=totals)
-
-
-def test_scalar_filter_path_matches_vectorized():
-    scalar = make_accountant(None, 4, filter_factory=ScalarOnlyFilter)
-    vectorized = make_accountant("basic", 4)
-    assert not scalar.staging_supported and vectorized.staging_supported
-    requests = [
-        ([0, 1], PrivacyBudget(0.4, 0.0), "a"),
-        ([1, 2], PrivacyBudget(0.5, 0.0), "b"),
-    ]
-    for acc in (scalar, vectorized):
-        acc.charge_many(list(requests))
-    assert fingerprint(scalar) == fingerprint(vectorized)
-    with pytest.raises(InvalidBudgetError):
-        scalar.begin_staging()
-
-
-def test_scalar_tail_walk_persists_retirement_like_vectorized():
-    scalar = make_accountant(None, 4, filter_factory=ScalarOnlyFilter)
-    vectorized = make_accountant("basic", 4)
-    for acc in (scalar, vectorized):
-        acc.charge([0, 1], PrivacyBudget(0.4, 0.0))
-        acc.charge([3], PrivacyBudget(1.0, 0.0))  # retires block 3
-    probe = PrivacyBudget(0.2, 0.0)
-    assert scalar.usable_blocks_tail(probe, 3) == vectorized.usable_blocks_tail(
-        probe, 3
-    )
-    assert scalar.usable_blocks(probe) == vectorized.usable_blocks(probe)
-    assert scalar.store.live.tolist() == vectorized.store.live.tolist()
-    assert scalar.retired_blocks() == vectorized.retired_blocks() == [3]
 
 
 # ----------------------------------------------------------------------

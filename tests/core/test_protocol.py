@@ -9,6 +9,7 @@ legacy per-session sequential loop, across seeded simulator workloads.
 import numpy as np
 import pytest
 
+from repro.core import durability
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
@@ -17,6 +18,7 @@ from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     AccessDeniedError,
     BudgetExceededError,
+    DurabilityError,
     InvalidBudgetError,
 )
 from repro.workload.oracle import CountStreamSource, OraclePipeline
@@ -138,26 +140,55 @@ class TestOneBatchPerHour:
             assert many_calls == (1 if committed else 0)
             assert sage.last_hour_charges == committed
 
-    def test_sequential_fallback_for_scalar_filters(self):
-        """A custom scalar-only filter forces the exact per-proposal path;
-        trajectories still come out of the same propose/complete drive."""
-        from repro.core.filters import BasicCompositionFilter
+    def test_context_policy_drives_per_proposal_requests(self):
+        """A per-context policy is the one thing that turns a batched
+        platform into a per-proposal drive (context charges validate per
+        request): it never calls ``request_many`` and lands the exact
+        trajectory and state digest of the ``batched_advance=False`` run."""
+        sages = []
+        for batched in (True, False):
+            sage = Sage(
+                CountStreamSource(4000, scale=1000), seed=3,
+                batched_advance=batched,
+            )
+            for i, c in enumerate((2_000.0, 10_000.0, 1e9)):
+                sage.submit(
+                    OraclePipeline(name=f"p{i}", n_at_eps1=c),
+                    AdaptiveConfig(max_attempts=8),
+                )
+            sages.append(sage)
+        with_context, sequential = sages
+        with_context.access.add_context("dev", 1.0, 1e-6)
+        assert not with_context.access.supports_staged_requests
+        calls = {"request_many": 0}
+        orig_many = with_context.access.request_many
 
-        class ScalarOnlyFilter(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return super().admits(history, candidate, totals=totals)
+        def counting_many(*args, **kwargs):
+            calls["request_many"] += 1
+            return orig_many(*args, **kwargs)
 
-        sage = Sage(
-            CountStreamSource(4000, scale=1000), seed=3,
-            filter_factory=ScalarOnlyFilter,
+        with_context.access.request_many = counting_many
+        for sage in sages:
+            sage.run_until_quiet(max_hours=30)
+        assert calls["request_many"] == 0
+        assert with_context.access.accountant.charges  # the drive charged
+        fp_c, fp_s = _fingerprint(with_context), _fingerprint(sequential)
+        for field in fp_c:
+            assert fp_c[field] == fp_s[field], f"{field} diverged"
+        assert durability.state_digest(with_context) == durability.state_digest(
+            sequential
         )
-        assert not sage.access.supports_staged_requests
-        entry = sage.submit(
-            OraclePipeline(name="p", n_at_eps1=2_000.0),
-            AdaptiveConfig(max_attempts=8),
-        )
-        sage.run_until_quiet(max_hours=30)
-        assert entry.status == "accepted"
+
+    def test_context_added_after_construction_refuses_durable_advance(
+        self, tmp_path
+    ):
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=3, wal_dir=tmp_path)
+        sage.submit(OraclePipeline(name="p", n_at_eps1=2_000.0))
+        sage.access.add_context("dev", 1.0, 1e-6)
+        with pytest.raises(DurabilityError, match="per-context"):
+            sage.advance(1.0)
+        assert sage.hours_committed == 0
+        assert not durability.wal_path(tmp_path).exists()
 
 
 class TestStagedBatch:
@@ -224,18 +255,6 @@ class TestStagedBatch:
         acc.pop_staged()
         acc.charge([0], PrivacyBudget(0.1, 0.0))
 
-    def test_staging_requires_vectorized_filter(self):
-        from repro.core.filters import BasicCompositionFilter
-
-        class ScalarOnlyFilter(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return super().admits(history, candidate, totals=totals)
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=ScalarOnlyFilter)
-        assert not acc.staging_supported
-        with pytest.raises(InvalidBudgetError):
-            acc.begin_staging()
-
     def test_staged_retirement_not_persisted_until_commit(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
@@ -263,107 +282,15 @@ class TestStagedBatch:
         with pytest.raises(AccessDeniedError):
             access.begin_staging()
 
-    def test_trusted_commit_byte_parity_with_validating_commit(self):
-        """The trusted bulk-write commit must leave the accountant in the
-        byte-identical state charge_many's re-validating commit produces."""
-        trusted_acc, validating_acc = self._accountant(), self._accountant()
-        requests = [
-            ([0, 1, 2], PrivacyBudget(0.25, 1e-9), "a"),
-            ([1, 2, 3], PrivacyBudget(0.5, 1e-9), "b"),
-            ([4, 5], PrivacyBudget(0.75, 0.0), "c"),
-            ([0], PrivacyBudget(0.5, 0.0), "d"),
-        ]
-        for acc in (trusted_acc, validating_acc):
-            acc.begin_staging()
-            for keys, budget, label in requests:
-                acc.stage_charge(keys, budget, label)
-        trusted_records = trusted_acc.commit_staged_trusted()
-        validating_acc.charge_many(validating_acc.pop_staged())
-        assert not trusted_acc.staging_active
-        assert trusted_acc.store.totals.tobytes() == validating_acc.store.totals.tobytes()
-        assert trusted_acc.store.charge_counts.tobytes() == (
-            validating_acc.store.charge_counts.tobytes()
-        )
-        assert [r.block_keys for r in trusted_records] == [
-            r.block_keys for r in validating_acc.charges
-        ]
-        for key in trusted_acc.block_keys:
-            assert trusted_acc.ledger(key).history == validating_acc.ledger(key).history
-            assert trusted_acc.ledger(key).totals == validating_acc.ledger(key).totals
-
-    def test_trusted_commit_with_block_registered_mid_batch(self):
+    def test_staged_commit_with_block_registered_mid_batch(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
         acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
         acc.register_block(99)  # lands mid-hour, after the overlay opened
         acc.stage_charge([99, 1], PrivacyBudget(0.5, 0.0))
-        acc.commit_staged_trusted()
+        acc.charge_many(acc.pop_staged())
         assert acc.store.totals[acc.rows_for_keys([99])[0], TOT_EPS] == pytest.approx(0.5)
         assert len(acc.charges) == 2
-
-    def test_trusted_commit_empty_batch_is_noop(self):
-        acc = self._accountant()
-        unopened = acc.commit_staged_trusted()
-        assert unopened == []  # nothing open
-        acc.begin_staging()
-        empty = acc.commit_staged_trusted()
-        assert empty == []  # open but empty
-        assert not acc.staging_active
-
-    def test_access_flag_routes_commit_to_trusted_path(self):
-        access = SageAccessControl(1.0, 1e-6, trusted_staged_commit=True)
-        access.register_blocks(range(3))
-        calls = {"request_many": 0}
-        orig = access.request_many
-
-        def counting(*args, **kwargs):
-            calls["request_many"] += 1
-            return orig(*args, **kwargs)
-
-        access.request_many = counting
-        access.begin_staging()
-        access.stage_request([0, 1], PrivacyBudget(0.5, 0.0), label="x")
-        records = access.commit_staged()
-        assert [r.label for r in records] == ["x"]
-        assert calls["request_many"] == 0  # bulk write, no re-validation
-        assert access.accountant.store.totals[0, TOT_EPS] == pytest.approx(0.5)
-
-    def test_trusted_commit_still_checks_committer_principal(self):
-        access = SageAccessControl(
-            1.0,
-            1e-6,
-            authorized_principals=["alice"],
-            trusted_staged_commit=True,
-        )
-        access.register_blocks(range(2))
-        access.begin_staging()
-        access.stage_request([0], PrivacyBudget(0.25, 0.0), principal="alice")
-        with pytest.raises(AccessDeniedError):
-            access.commit_staged(principal="mallory")
-        assert access.staging_active
-        committed = access.commit_staged(principal="alice")
-        assert len(committed) == 1
-
-    def test_platform_trusted_hour_identical_to_validating_hour(self):
-        """End to end: a Sage deployment with the trusted commit produces
-        byte-identical trajectories to the validating one."""
-        fingerprints = []
-        for trusted in (False, True):
-            sage = Sage(
-                CountStreamSource(4000, scale=1000),
-                seed=7,
-                trusted_staged_commit=trusted,
-            )
-            for i, c in enumerate((3_000.0, 20_000.0)):
-                sage.submit(
-                    OraclePipeline(name=f"p{i}", n_at_eps1=c),
-                    AdaptiveConfig(max_attempts=12),
-                )
-            sage.run_until_quiet(max_hours=40)
-            fingerprints.append(_fingerprint(sage))
-        validating, trusted = fingerprints
-        for field in validating:
-            assert validating[field] == trusted[field], f"{field} diverged"
 
     def test_commit_staged_on_acl_stream(self):
         """Regression: the hourly commit must honor stream-level ACLs
