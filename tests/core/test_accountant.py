@@ -330,7 +330,7 @@ class CappedMax(StrongCompositionFilter):
     ],
     ids=["AtMostThreeCharges", "AtMostTwoCharges", "CappedMax"],
 )
-def test_filter_whose_batch_rule_misses_a_scalar_override_is_refused(
+def test_batch_rule_missing_a_scalar_override_is_refused(
     filter_cls, missing
 ):
     """Every decision goes through the batch methods, so a filter whose
